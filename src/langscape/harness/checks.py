@@ -24,8 +24,7 @@ from .. import landscape as ls
 from .. import priors
 from .. import samplers as smp
 
-__all__ = ["CheckResult", "CheckFailure", "CHECK_IDS", "run_checks",
-           "theory_check_suite"]
+__all__ = ["CheckResult", "CHECK_IDS", "run_checks", "theory_check_suite"]
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,12 @@ class CheckResult:
     detail: str
 
     def record(self) -> dict:
+        """JSON-ready dict; a non-finite statistic is written as None."""
         d = asdict(self)
         d["pass"] = d.pop("passed")
+        if not math.isfinite(self.statistic):
+            d["statistic"] = None
         return d
-
-
-class CheckFailure(RuntimeError):
-    """At least one verification check failed; maps to exit code 3."""
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

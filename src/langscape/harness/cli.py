@@ -3,7 +3,7 @@
 Usage: langscape <mode> --config <path> [--seed N] [--out DIR]
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 a
-verification check failed, 4 filesystem error.
+verification check failed, 4 filesystem error, 5 a sampler chain diverged.
 """
 
 from __future__ import annotations

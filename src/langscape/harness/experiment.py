@@ -314,13 +314,15 @@ def _run_posterior(cfg, out: Path):
     problem = gen.InverseProblem(
         generator=None, map=gen.MeasurementMap(matrix=None, m=len(y)),
         y=y, noise_sigma=p["sigma"])
-    kept, rows = [], []
+    kept, rows, aborted = [], [], []
     for c in range(p["chains"]):
         lcfg = smp.LangevinConfig(eta=p["eta"], beta=1.0, steps=p["steps"],
                                   seed=cfg.seed + 101 + c,
                                   record_every=p["record_every"])
         traj = smp.posterior_sgld(problem, prior, tail, lcfg,
                                   likelihood_weight=p["likelihood_weight"])
+        if traj.aborted_at is not None:
+            aborted.append(c)
         half = len(traj.states) // 2
         kept.append(traj.states[half:])
         for state in traj.states[half:]:
@@ -333,7 +335,8 @@ def _run_posterior(cfg, out: Path):
     cov = np.cov(pooled.T).reshape(dim, dim)
     summary = {"sample_count": int(len(pooled)),
                "mean": [float(v) for v in mean],
-               "cov": [[float(v) for v in row] for row in cov]}
+               "cov": [[float(v) for v in row] for row in cov],
+               "aborted_chains": aborted}
     artifacts = ["posterior_samples.csv"]
     if p["svg"]:
         qs = np.linspace(0.0, 1.0, 201)
@@ -342,7 +345,7 @@ def _run_posterior(cfg, out: Path):
         _write_svg(out / "posterior_marginals.svg", qs, series,
                    "pooled marginal quantiles after burn-in")
         artifacts.append("posterior_marginals.svg")
-    return artifacts, summary, 0
+    return artifacts, summary, 5 if aborted else 0
 
 
 def _run_theory_check(cfg, out: Path, strict: bool):
@@ -359,7 +362,8 @@ def _run_theory_check(cfg, out: Path, strict: bool):
     all_pass = all(r.passed for r in results)
     report = {"seed": cfg.seed, "all_pass": all_pass, "checks": records}
     _atomic_write(out / "theory_report.json",
-                  json.dumps(report, indent=2, sort_keys=True) + "\n")
+                  json.dumps(report, indent=2, sort_keys=True,
+                             allow_nan=False) + "\n")
     print(f"theory-check: {sum(r.passed for r in results)}/{len(results)} "
           f"passed in {time.monotonic() - t0:.1f}s", file=sys.stderr)
     summary = {"all_pass": all_pass,

@@ -2,11 +2,13 @@
 
 One update rule underlies everything here: z <- z - eta grad U(z)
 + sqrt(2 eta / beta) u with u ~ N(0, I), the unadjusted Langevin chain
-targeting exp(-beta U).  Variants: plain / sign-negation gradient descent
-(beta = inf), l1-projected intermediate-layer descent (the classical
-sparse-deviations baseline), posterior SGLD on an intermediate latent with
-an exact mixture score, annealed reverse sampling from a VP-noised prior
-(hot start), and synchronously coupled chain pairs sharing their noise.
+targeting exp(-beta U).  One loop (_chain) runs every variant: single
+chains and ensembles, gradient descent (beta = inf), l1-projected
+intermediate-layer descent (the classical sparse-deviations baseline),
+posterior SGLD on an intermediate latent with an exact mixture score,
+annealed reverse sampling from a VP-noised prior (hot start), and
+synchronously coupled chain pairs sharing their noise.  A chain whose
+potential or gradient turns non-finite stops at its last finite state.
 
 Potential oracles are callables z -> (U(z), grad U(z)), read-only and
 reentrant; every sampler is a deterministic function of (arguments, seed).
@@ -65,24 +67,21 @@ class LangevinConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded chain states with potentials and negation flags.
+    """Recorded chain states with their potentials.
 
-    accepted_meta[i] is True when a sign negation was applied in the
-    recording interval ending at states[i]; step_indices maps records to
-    chain steps; aborted_at is the step of the first non-finite gradient
-    (records stop just before it) or None.
+    step_indices maps records to chain steps; aborted_at is the step at
+    which the potential or gradient first turned non-finite (the chain
+    stopped at its state of the step before) or None.
     """
 
     states: np.ndarray
     losses: np.ndarray
-    accepted_meta: np.ndarray
     step_indices: np.ndarray
     aborted_at: int | None = None
 
     def __post_init__(self):
         k = len(self.states)
-        if not (len(self.losses) == len(self.accepted_meta)
-                == len(self.step_indices) == k):
+        if not len(self.losses) == len(self.step_indices) == k:
             raise ValueError("trajectory record arrays must share length")
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory states must be finite")
@@ -97,11 +96,14 @@ class EnsembleRun:
     """Recorded history of many independent chains advanced in lockstep.
 
     states has shape (records, chains, dim); losses (records, chains).
+    aborted_at[c] is the step at which chain c stopped on a non-finite
+    potential or gradient, -1 if it ran to the end.
     """
 
     states: np.ndarray
     losses: np.ndarray
     step_indices: np.ndarray
+    aborted_at: np.ndarray
 
     def snapshot(self, step: int) -> np.ndarray:
         """States (chains, dim) recorded at an exact chain step."""
@@ -112,10 +114,8 @@ class EnsembleRun:
 
     def chain(self, c: int) -> Trajectory:
         """View one chain's records as a Trajectory."""
-        k = len(self.step_indices)
-        return Trajectory(states=self.states[:, c], losses=self.losses[:, c],
-                          accepted_meta=np.zeros(k, dtype=bool),
-                          step_indices=self.step_indices)
+        return _trajectory(self.states[:, c], self.losses[:, c],
+                           self.step_indices, self.aborted_at[c])
 
 
 @dataclass(frozen=True)
@@ -132,27 +132,64 @@ class L1ProjectionSpec:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
 
 
-class _Recorder:
-    def __init__(self, steps: int, record_every: int):
-        self.every = record_every
-        self.last = steps
-        self.states, self.losses, self.meta, self.idx = [], [], [], []
+def _trajectory(states, losses, step_indices, aborted) -> Trajectory:
+    return Trajectory(states=states, losses=losses, step_indices=step_indices,
+                      aborted_at=None if aborted < 0 else int(aborted))
 
-    def want(self, step: int) -> bool:
-        return step % self.every == 0 or step == self.last
 
-    def add(self, step, z, u, flipped=False):
-        self.states.append(np.array(z))
-        self.losses.append(float(u))
-        self.meta.append(bool(flipped))
-        self.idx.append(int(step))
+def _finite_rows(u, g) -> np.ndarray:
+    return np.isfinite(u) & np.isfinite(g).all(axis=-1)
 
-    def done(self, aborted_at=None) -> Trajectory:
-        return Trajectory(states=np.array(self.states),
-                          losses=np.array(self.losses),
-                          accepted_meta=np.array(self.meta, dtype=bool),
-                          step_indices=np.array(self.idx, dtype=int),
-                          aborted_at=aborted_at)
+
+def _chain(potential_grad, z0, eta, sigma, steps, record_every, rng=None,
+           project=None, noise_shape=None):
+    """The one sampler loop: z <- project(z - eta grad U(z) + sigma u).
+
+    Every leading index of z0 is a chain and the oracle sees the whole
+    array.  sigma == 0 draws no noise; noise_shape (default: the shape of
+    z0) lets chains share one draw.  Records step 0, every record_every-th
+    step and the last step.
+
+    A chain whose potential or gradient turns non-finite at step k stops
+    at its state of step k - 1 and aborted records k (-1 for a chain that
+    runs to the end); the loop ends once every chain has stopped.  The
+    per-step test is on the whole array; the per-chain mask is only built
+    once it fails.  Returns (states, losses, step_indices, aborted).
+    """
+    z = np.array(z0, dtype=float)
+    u, g = potential_grad(z)
+    states, losses, idx = [z], [np.array(u, dtype=float)], [0]
+    live = _finite_rows(u, g)
+    aborted = np.where(live, -1, 0)
+    g = np.where(live[..., None], g, 0.0)
+    halted = not live.all()
+    shape = z.shape if noise_shape is None else noise_shape
+    for step in range(1, steps + 1 if live.any() else 1):
+        z_next = z - eta * g
+        if sigma:
+            z_next = z_next + sigma * rng.standard_normal(shape)
+        if project is not None:
+            z_next = project(z_next)
+        if halted:
+            z_next = np.where(live[..., None], z_next, z)
+        u_next, g_next = potential_grad(z_next)
+        if not (np.isfinite(u_next).all() and np.isfinite(g_next).all()):
+            bad = ~_finite_rows(u_next, g_next)
+            aborted = np.where(bad & live, step, aborted)
+            live = live & ~bad
+            if not live.any():
+                break
+            halted = True
+            z_next = np.where(bad[..., None], z, z_next)
+            u_next = np.where(bad, u, u_next)
+            g_next = np.where(bad[..., None], 0.0, g_next)
+        z, u, g = z_next, u_next, g_next
+        if step % record_every == 0 or step == steps:
+            states.append(z)
+            losses.append(np.array(u, dtype=float))
+            idx.append(step)
+    return (np.array(states), np.array(losses), np.array(idx, dtype=int),
+            aborted)
 
 
 def run_langevin(potential_grad, z0, cfg: LangevinConfig) -> Trajectory:
@@ -162,22 +199,9 @@ def run_langevin(potential_grad, z0, cfg: LangevinConfig) -> Trajectory:
     A non-finite potential or gradient aborts the chain; the trajectory
     then ends at the last finite state and aborted_at gives the step.
     """
-    rng = np.random.default_rng(cfg.seed)
-    z = np.array(z0, dtype=float)
-    sigma = cfg.sigma_step
-    rec = _Recorder(cfg.steps, cfg.record_every)
-    u_val, g = potential_grad(z)
-    rec.add(0, z, u_val)
-    for step in range(1, cfg.steps + 1):
-        if not (np.isfinite(u_val) and np.all(np.isfinite(g))):
-            return rec.done(aborted_at=step - 1)
-        z = z - cfg.eta * g + sigma * rng.standard_normal(z.shape)
-        u_val, g = potential_grad(z)
-        if rec.want(step):
-            if not (np.isfinite(u_val) and np.all(np.isfinite(z))):
-                return rec.done(aborted_at=step)
-            rec.add(step, z, u_val)
-    return rec.done()
+    return _trajectory(*_chain(potential_grad, z0, cfg.eta, cfg.sigma_step,
+                               cfg.steps, cfg.record_every,
+                               rng=np.random.default_rng(cfg.seed)))
 
 
 def run_langevin_ensemble(potential_grad, z0: np.ndarray,
@@ -187,59 +211,28 @@ def run_langevin_ensemble(potential_grad, z0: np.ndarray,
     The potential oracle must accept batched states.  One RNG stream
     drives all chains (a (chains, dim) draw per step), so the run is
     deterministic for a fixed seed but chains are not individually
-    seed-stable under ensemble resizing.
+    seed-stable under ensemble resizing.  A chain that turns non-finite
+    stays at its last finite state while the others run on.
     """
-    rng = np.random.default_rng(cfg.seed)
-    Z = np.array(z0, dtype=float)
-    if Z.ndim != 2:
+    if np.ndim(z0) != 2:
         raise ValueError("ensemble start must have shape (chains, dim)")
-    sigma = cfg.sigma_step
-    states, losses, idx = [], [], []
-    U, G = potential_grad(Z)
-    states.append(Z.copy()); losses.append(np.asarray(U, dtype=float).copy())
-    idx.append(0)
-    for step in range(1, cfg.steps + 1):
-        Z = Z - cfg.eta * G + sigma * rng.standard_normal(Z.shape)
-        U, G = potential_grad(Z)
-        if step % cfg.record_every == 0 or step == cfg.steps:
-            states.append(Z.copy())
-            losses.append(np.asarray(U, dtype=float).copy())
-            idx.append(step)
-    return EnsembleRun(states=np.array(states), losses=np.array(losses),
-                       step_indices=np.array(idx, dtype=int))
+    states, losses, idx, aborted = _chain(
+        potential_grad, z0, cfg.eta, cfg.sigma_step, cfg.steps,
+        cfg.record_every, rng=np.random.default_rng(cfg.seed))
+    return EnsembleRun(states=states, losses=losses, step_indices=idx,
+                       aborted_at=aborted)
 
 
 def run_gd(potential_grad, z0, eta: float, steps: int,
-           negation: bool = False, record_every: int = 1) -> Trajectory:
-    """Gradient descent, optionally with the sign-negation heuristic.
+           record_every: int = 1) -> Trajectory:
+    """Gradient descent z <- z - eta grad U(z), the beta = inf chain.
 
-    With negation on, after each step z is replaced by -z iff
-    U(-z) < U(z) strictly, so the recorded potential never increases due
-    to a flip.  Ties keep the current iterate.
+    Stops on a non-finite potential or gradient like run_langevin.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    z = np.array(z0, dtype=float)
-    rec = _Recorder(steps, record_every)
-    u_val, g = potential_grad(z)
-    rec.add(0, z, u_val)
-    flipped_since = False
-    for step in range(1, steps + 1):
-        if not (np.isfinite(u_val) and np.all(np.isfinite(g))):
-            return rec.done(aborted_at=step - 1)
-        z = z - eta * g
-        u_val, g = potential_grad(z)
-        if negation:
-            u_neg, g_neg = potential_grad(-z)
-            if u_neg < u_val:
-                z, u_val, g = -z, u_neg, g_neg
-                flipped_since = True
-        if rec.want(step):
-            if not np.all(np.isfinite(z)):
-                return rec.done(aborted_at=step)
-            rec.add(step, z, u_val, flipped=flipped_since)
-            flipped_since = False
-    return rec.done()
+    return _trajectory(*_chain(potential_grad, z0, eta, 0.0, steps,
+                               record_every))
 
 
 def project_l1(v, spec: L1ProjectionSpec) -> np.ndarray:
@@ -286,15 +279,9 @@ def run_ilo_baseline(problem: InverseProblem, split_layer: int, radius: float,
     ball = L1ProjectionSpec(center=w0, radius=radius)
     sub = InverseProblem(generator=G2, map=problem.map, y=problem.y,
                          noise_sigma=problem.noise_sigma, mask=problem.mask)
-    w = w0
-    rec = _Recorder(steps, 1)
-    u_val, g = empirical_loss_grad(sub, w)
-    rec.add(0, w, u_val)
-    for step in range(1, steps + 1):
-        w = project_l1(w - eta * g, ball)
-        u_val, g = empirical_loss_grad(sub, w)
-        rec.add(step, w, u_val)
-    return rec.done()
+    return _trajectory(*_chain(lambda w: empirical_loss_grad(sub, w), w0,
+                               eta, 0.0, steps, 1,
+                               project=lambda w: project_l1(w, ball)))
 
 
 def _tail_map(G2, p: int):
@@ -386,10 +373,15 @@ def hot_start_reverse(z0, t: float, prior: GaussianMixturePrior,
         if v_first is None:
             v_first = v_i
         eta_i = cfg.eta * v_i / v_first
-        sigma_i = math.sqrt(2.0 * eta_i / cfg.beta)
-        for _ in range(steps_per):
-            _, score = gmm_log_density_and_score(noised, z)
-            z = z + eta_i * score + sigma_i * rng.standard_normal(z.shape)
+
+        def potential_grad(x, noised=noised):
+            logp, score = gmm_log_density_and_score(noised, x)
+            return -logp, -score
+
+        states, _, _, _ = _chain(potential_grad, z, eta_i,
+                                 math.sqrt(2.0 * eta_i / cfg.beta), steps_per,
+                                 steps_per, rng=rng)
+        z = states[-1]
     return z
 
 
@@ -399,27 +391,17 @@ def coupled_pair(potential_grad, z0_a, z0_b,
 
     The noise cancels in the difference, so the pair measures the pure
     gradient-map contraction between the chains.  Equal starts give
-    bitwise-identical trajectories.
+    bitwise-identical trajectories.  The oracle sees both chains stacked
+    as one (2, dim) batch; a chain that turns non-finite stops at its last
+    finite state while the other runs on.
     """
-    rng = np.random.default_rng(cfg.seed)
-    za = np.array(z0_a, dtype=float)
-    zb = np.array(z0_b, dtype=float)
+    za = np.asarray(z0_a, dtype=float)
+    zb = np.asarray(z0_b, dtype=float)
     if za.shape != zb.shape:
         raise ValueError("coupled starts must share a shape")
-    sigma = cfg.sigma_step
-    ra = _Recorder(cfg.steps, cfg.record_every)
-    rb = _Recorder(cfg.steps, cfg.record_every)
-    ua, ga = potential_grad(za)
-    ub, gb = potential_grad(zb)
-    ra.add(0, za, ua)
-    rb.add(0, zb, ub)
-    for step in range(1, cfg.steps + 1):
-        u = sigma * rng.standard_normal(za.shape)
-        za = za - cfg.eta * ga + u
-        zb = zb - cfg.eta * gb + u
-        ua, ga = potential_grad(za)
-        ub, gb = potential_grad(zb)
-        if ra.want(step):
-            ra.add(step, za, ua)
-            rb.add(step, zb, ub)
-    return ra.done(), rb.done()
+    states, losses, idx, aborted = _chain(
+        potential_grad, np.stack([za, zb]), cfg.eta, cfg.sigma_step,
+        cfg.steps, cfg.record_every, rng=np.random.default_rng(cfg.seed),
+        noise_shape=za.shape)
+    return tuple(_trajectory(states[:, c], losses[:, c], idx, aborted[c])
+                 for c in range(2))

@@ -151,7 +151,6 @@ def _const_traj(states):
     states = np.asarray(states, dtype=float)
     return smp.Trajectory(states=states,
                           losses=np.zeros(len(states)),
-                          accepted_meta=np.zeros(len(states), dtype=bool),
                           step_indices=np.arange(len(states)))
 
 
@@ -175,7 +174,6 @@ def test_tail_statistics_counts_escapes():
         states = np.tile(np.array([norm, 0.0]), (steps + 1, 1))
         trajs.append(smp.Trajectory(
             states=states, losses=np.zeros(steps + 1),
-            accepted_meta=np.zeros(steps + 1, dtype=bool),
             step_indices=np.arange(steps + 1)))
     rep = diag.tail_statistics(trajs, beta=beta, eta=eta, A=A, a=0.2)
     assert rep.chains == 5
@@ -192,7 +190,6 @@ def test_tail_statistics_counts_escapes():
 def test_tail_statistics_requires_late_records():
     states = np.zeros((3, 2))
     traj = smp.Trajectory(states=states, losses=np.zeros(3),
-                          accepted_meta=np.zeros(3, dtype=bool),
                           step_indices=np.arange(3))
     with pytest.raises(ValueError):
         diag.tail_statistics([traj], beta=1.0, eta=0.1, A=1.0)

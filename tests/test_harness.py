@@ -3,6 +3,7 @@ artifact layout, byte-level determinism, and the mutation hook that
 proves the gradient verification check can actually fail."""
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -217,6 +218,26 @@ def test_cli_theory_check_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert run_experiment(config, strict_checks=False) == 0
 
 
+def test_cli_theory_report_writes_nan_statistic_as_null(tmp_path,
+                                                       monkeypatch):
+    def nan_stub(seed):
+        return hchecks.CheckResult(
+            check_id="c08_hitting_time", statistic=math.nan, bound=2.8,
+            ci_low=None, ci_high=None, passed=False, detail="never hit")
+
+    monkeypatch.setitem(hchecks._REGISTRY, "c08_hitting_time", nan_stub)
+    cfg = _write_cfg(tmp_path, {"checks": ["c08_hitting_time"]})
+    out = tmp_path / "out"
+    assert main(["theory-check", "--config", cfg, "--out", str(out)]) == 3
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads((out / "theory_report.json").read_text(),
+                        parse_constant=reject)
+    assert report["checks"][0]["statistic"] is None
+
+
 def test_run_checks_rejects_unknown_id():
     with pytest.raises(KeyError, match="c99_missing"):
         hchecks.run_checks(["c99_missing"], seed=0)
@@ -302,3 +323,17 @@ def test_posterior_mode_artifact_schema(tmp_path):
     cov = np.array(result["summary"]["cov"])
     assert mean.shape == (2,)
     assert cov.shape == (2, 2)
+    assert result["summary"]["aborted_chains"] == []
+
+
+def test_cli_posterior_divergence_exits_5(tmp_path):
+    # likelihood curvature 1/sigma^2 = 1e4 makes eta = 1 unstable
+    cfg = _write_cfg(tmp_path, {
+        "prior_weights": [1.0], "prior_means": [[0.0, 0.0]],
+        "prior_variances": [1.0], "y": [0.3, -0.2], "sigma": 0.01,
+        "eta": 1.0, "steps": 400, "chains": 2})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["posterior", "--config", cfg, "--out", str(out)]) == 5
+    result = json.loads((out / "result.json").read_text())
+    assert result["summary"]["aborted_chains"] == [0, 1]

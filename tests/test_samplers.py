@@ -80,15 +80,54 @@ def test_langevin_zero_temperature_limit_is_gd():
     assert np.allclose(traj.final_state, exact, atol=1e-7)
 
 
-def test_langevin_abort_on_divergence():
+_DIVERGING = {
+    "run_langevin": lambda pg, z0, cfg: [smp.run_langevin(pg, z0, cfg)],
+    "run_gd": lambda pg, z0, cfg: [smp.run_gd(pg, z0, cfg.eta, cfg.steps)],
+    "coupled_pair": lambda pg, z0, cfg: smp.coupled_pair(pg, z0, -z0, cfg),
+}
+
+
+@pytest.mark.parametrize("run", _DIVERGING.values(), ids=_DIVERGING.keys())
+def test_langevin_abort_on_divergence(run):
     # unstable step size on a steep quadratic blows up to non-finite
     pg = _quad(np.array([1e8]))
     cfg = smp.LangevinConfig(eta=1.0, beta=1.0, steps=400, seed=SEED + 3,
                              record_every=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = smp.run_langevin(pg, np.array([1.0]), cfg)
-    assert traj.aborted_at is not None
-    assert np.all(np.isfinite(traj.states))
+        trajs = run(pg, np.array([1.0]), cfg)
+    for traj in trajs:
+        assert traj.aborted_at is not None and traj.aborted_at > 0
+        assert np.all(np.isfinite(traj.states))
+        # the chain stopped at its state of the step before the abort
+        last = traj.states[traj.step_indices == traj.aborted_at - 1]
+        assert np.array_equal(traj.final_state, last[0])
+
+
+def test_ensemble_divergent_chain_stops_others_run_on():
+    # chain 0's curvature makes eta unstable for it alone
+    a = np.ones((5, 1))
+    pg_benign = _quad(a)
+    a_bad = a.copy()
+    a_bad[0] = 1e8
+    pg_bad = _quad(a_bad)
+    z0 = np.tile(np.array([1.0, -0.5, 0.25]), (5, 1))
+    cfg = smp.LangevinConfig(eta=0.05, beta=2.0, steps=300, seed=SEED + 28,
+                             record_every=10)
+    ref = smp.run_langevin_ensemble(pg_benign, z0, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = smp.run_langevin_ensemble(pg_bad, z0, cfg)
+    stop = run.aborted_at[0]
+    assert stop > 0
+    assert list(run.aborted_at[1:]) == [-1] * 4
+    assert list(ref.aborted_at) == [-1] * 5
+    assert np.all(np.isfinite(run.states))
+    frozen = run.states[run.step_indices >= stop, 0]
+    assert len(frozen) > 0 and np.all(frozen == frozen[0])
+    assert run.chain(0).aborted_at == stop and run.chain(1).aborted_at is None
+    # one RNG stream draws all rows, so the other chains are unaffected
+    assert np.array_equal(run.step_indices, ref.step_indices)
+    assert np.array_equal(run.states[:, 1:], ref.states[:, 1:])
+    assert np.array_equal(run.losses[:, 1:], ref.losses[:, 1:])
 
 
 def test_ensemble_matches_single_chain_api():
@@ -108,7 +147,7 @@ def test_ensemble_matches_single_chain_api():
 
 
 # ---------------------------------------------------------------------------
-# gradient descent with negation
+# gradient descent
 
 
 def test_run_gd_quadratic_convergence():
@@ -118,29 +157,6 @@ def test_run_gd_quadratic_convergence():
                       record_every=50)
     assert np.linalg.norm(traj.final_state) < 1e-10
     assert traj.losses[-1] < 1e-20
-
-
-def test_run_gd_negation_escapes_wrong_half():
-    # potential favoring the +e1 well: U = |z - e1|^2 |z + e1|^2 style
-    target = np.array([1.0, 0.0])
-
-    def pg(z):
-        d1 = z - target
-        d2 = z + target
-        v1, v2 = float(d1 @ d1), float(d2 @ d2)
-        # asymmetric double well, deeper at +target
-        val = v1 * v2 + 0.5 * v1
-        grad = 2 * d1 * v2 + 2 * d2 * v1 + d1
-        return val, grad
-
-    # start in the shallower well; plain GD stays, negation jumps across
-    stuck = smp.run_gd(pg, np.array([-0.9, 0.0]), eta=0.02, steps=400,
-                       record_every=40)
-    assert stuck.final_state[0] < 0.0
-    traj = smp.run_gd(pg, np.array([-0.9, 0.0]), eta=0.02, steps=400,
-                      negation=True, record_every=40)
-    assert traj.final_state[0] > 0.5
-    assert traj.losses[-1] < stuck.losses[-1]
 
 
 # ---------------------------------------------------------------------------
