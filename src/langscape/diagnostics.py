@@ -3,8 +3,8 @@
 Estimators come in matched pairs: a quantity the theory talks about
 (Wasserstein-1 distance, hitting time, escape probability, Hessian
 spectrum, potential drift, discretization gap) and an independent way to
-pin it down (sorted matching, exact assignment, quadrature reference,
-closed-form bounds with Wilson confidence intervals).  Everything is a
+pin it down (sorted matching, quadrature reference, closed-form
+bounds with Wilson confidence intervals).  Everything is a
 pure, seed-deterministic function.
 """
 
@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .landscape import ModifiedLossParams, ideal_hessian, modified_loss, \
     potential, theta_chain
@@ -28,7 +26,6 @@ __all__ = [
     "DriftReport",
     "w1_exact_1d",
     "sliced_w1",
-    "assignment_w1",
     "wilson_interval",
     "grid_density_sampler",
     "polar_reference_masses",
@@ -62,10 +59,6 @@ class EmpiricalDistribution:
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.count, 1.0 / self.count)
 
 
 @dataclass(frozen=True)
@@ -161,22 +154,6 @@ def sliced_w1(a, b, projections: int, seed: int) -> float:
     pa = np.sort(a @ dirs.T, axis=0)
     pb = np.sort(b @ dirs.T, axis=0)
     return float(np.mean(np.abs(pa - pb)))
-
-
-def assignment_w1(a, b) -> float:
-    """Exact discrete W1: optimal matching on the Euclidean cost matrix.
-
-    Count-capped at 512 per side to keep the exact solve an oracle, not a
-    bottleneck.
-    """
-    a, b = _as_samples(a), _as_samples(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"sample counts differ ({a.shape[0]} vs {b.shape[0]})")
-    if a.shape[0] > 512:
-        raise ValueError(f"assignment_w1 capped at 512 points, got {a.shape[0]}")
-    cost = cdist(a, b)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ Monte-Carlo helpers are deterministic functions of their arguments.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,8 +34,6 @@ __all__ = [
     "wdc_deviation",
     "rric_deviation",
     "gradient_proximity",
-    "generator_to_json",
-    "generator_from_json",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -393,31 +390,3 @@ def gradient_proximity(G: ReluGenerator, A: MeasurementMap | None, z_star,
     return ProximityReport(max_ratio=float(np.max(ratios)),
                            median_ratio=float(np.median(ratios)),
                            sample_count=int(sample_count), seed=int(seed))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def generator_to_json(G: ReluGenerator, include_weights: bool = False) -> str:
-    """Textual round-trippable description; weights inlined on request
-    (hand-set fixtures) or regenerated from the stored seed otherwise."""
-    doc = {"dims": list(G.dims), "scale": G.scale, "seed": G.seed}
-    if include_weights or G.seed is None:
-        doc["weights"] = [w.tolist() for w in G.weights]
-    return json.dumps(doc, sort_keys=True)
-
-
-def generator_from_json(text: str) -> ReluGenerator:
-    doc = json.loads(text)
-    if "weights" in doc:
-        return ReluGenerator(dims=tuple(doc["dims"]),
-                             weights=tuple(np.array(w) for w in doc["weights"]),
-                             scale=doc["scale"], seed=doc.get("seed"))
-    if doc.get("seed") is None:
-        raise ValueError("generator JSON needs either weights or a seed")
-    G = build_generator(doc["dims"], doc["seed"])
-    if G.scale != doc["scale"]:
-        G = ReluGenerator(dims=G.dims, weights=G.weights,
-                          scale=doc["scale"], seed=doc["seed"])
-    return G

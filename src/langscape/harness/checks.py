@@ -4,7 +4,10 @@ Each check is a deterministic function of a seed returning a CheckResult
 with a measured statistic, the bound it is held against, an optional
 confidence interval, and a pass flag.  The CLI theory-check mode and the
 acceptance test suite both run these same functions, so there is exactly
-one definition of every pass threshold.
+one definition of every pass threshold.  Checks that test a CLI mode's
+experiment (c04 wdc/rric, c06 mix, c10 posterior, c11 invert) run that
+mode's own workload function on a frozen config, so every workload has
+one definition too.
 
 Workloads are sized to the stated runtime budgets; Monte-Carlo
 configurations were calibrated once against the analytic oracles and then
@@ -13,8 +16,11 @@ frozen (seeds included).
 
 from __future__ import annotations
 
+import filecmp
 import math
+import tempfile
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +29,8 @@ from .. import generator as gen
 from .. import landscape as ls
 from .. import priors
 from .. import samplers as smp
+from . import experiment
+from .config import validate_config
 
 __all__ = ["CheckResult", "CHECK_IDS", "run_checks", "theory_check_suite"]
 
@@ -206,27 +214,13 @@ def c03_convexity_ball(seed: int) -> CheckResult:
 
 
 def c04_wdc_rric(seed: int) -> CheckResult:
-    k = 3
-    wdc_medians = []
-    for idx, n in enumerate((256, 1024, 4096)):
-        rng = np.random.default_rng((seed, 4, idx))
-        devs = []
-        for _ in range(200):
-            W = rng.standard_normal((n, k)) / math.sqrt(n)
-            x = rng.standard_normal(k)
-            y = rng.standard_normal(k)
-            devs.append(gen.wdc_deviation(W, x, y).deviation)
-        wdc_medians.append(float(np.median(devs)))
-    G = gen.build_generator([8, 64, 128], seed=seed + 1)
-    rric_medians = []
-    for idx, m in enumerate((16, 64, 256)):
-        rng = np.random.default_rng((seed, 5, idx))
-        devs = []
-        for t in range(200):
-            A = gen.gaussian_map(m, 128, seed=int(rng.integers(2**63)))
-            xs = rng.standard_normal((4, 8))
-            devs.append(gen.rric_deviation(A, G, *xs))
-        rric_medians.append(float(np.median(devs)))
+    wdc = validate_config("wdc", {"k": 3, "n_values": [256, 1024, 4096],
+                                  "pairs": 200}).params
+    rric = validate_config("rric", {"dims": [8, 64, 128],
+                                    "m_values": [16, 64, 256],
+                                    "tuples": 200}).params
+    wdc_medians = [r[1] for r in experiment._wdc_rows(wdc, seed)]
+    rric_medians = [r[1] for r in experiment._rric_rows(rric, seed)]
     wdc_ok = wdc_medians[0] > wdc_medians[1] > wdc_medians[2]
     rric_ok = rric_medians[0] > rric_medians[1] > rric_medians[2]
     drops = [a - b for a, b in zip(wdc_medians[:-1], wdc_medians[1:])] \
@@ -267,27 +261,17 @@ def c05_gradient_proximity(seed: int) -> CheckResult:
 
 
 def c06_mixing(seed: int) -> CheckResult:
-    d, beta, eta, chains = 2, 40.0, 1e-3, 200
-    snapshots = (100, 1000, 10_000, 100_000)
-    zs = np.array([1.0, 0.0])
-    params = ls.ModifiedLossParams.for_depth(d, beta=beta)
-
-    def pg(Z):
-        return ls.modified_loss(Z, zs, d, params)
-
-    z0 = np.tile(np.array([-2.0, 0.0]), (chains, 1))
-    cfg = smp.LangevinConfig(eta=eta, beta=beta, steps=snapshots[-1],
-                             seed=seed + 61, record_every=100)
-    run = smp.run_langevin_ensemble(pg, z0, cfg)
-    ref = diag.reference_grid_sampler(d, beta, 2, grid=192, count=chains,
-                                      seed=seed + 62)
-    w1s = [diag.sliced_w1(run.snapshot(t), ref.samples, projections=128,
-                          seed=seed + 63) for t in snapshots]
+    mix = validate_config("mix", {
+        "d": 2, "beta": 40.0, "eta": 1e-3, "chains": 200,
+        "snapshot_steps": [100, 1000, 10_000, 100_000], "grid": 192,
+        "projections": 128, "start_radius": 2.0}).params
+    rows, _ = experiment._mix_curve(mix, seed)
+    w1s = [w for _, w in rows]
     monotone = all(w1s[i + 1] <= 1.10 * w1s[i] for i in range(len(w1s) - 1))
     passed = monotone and w1s[-1] <= 0.1
     return CheckResult("c06_mixing", statistic=w1s[-1], bound=0.1,
                        ci_low=None, ci_high=None, passed=passed,
-                       detail=f"sliced W1 at t={list(snapshots)}: "
+                       detail=f"sliced W1 at t={[t for t, _ in rows]}: "
                               f"{[round(v, 4) for v in w1s]}; "
                               f"nonincreasing within 10%: {monotone}")
 
@@ -415,17 +399,12 @@ def c10_posterior_oracles(seed: int) -> CheckResult:
     # conjugate part: G2 = I, A = I, sigma = 1, prior N(0, I)
     p, chains = 8, 8
     y = np.full(p, 1.4)
-    problem = gen.InverseProblem(generator=None,
-                                 map=gen.MeasurementMap(matrix=None, m=p),
-                                 y=y, noise_sigma=1.0)
-    prior = priors.GaussianMixturePrior.standard(p)
-    kept = []
-    for c in range(chains):
-        cfg = smp.LangevinConfig(eta=0.02, beta=1.0, steps=30_000,
-                                 seed=seed + 101 + c, record_every=10)
-        traj = smp.posterior_sgld(problem, prior, None, cfg)
-        half = len(traj.states) // 2
-        kept.append(traj.states[half:])
+    conj = validate_config("posterior", {
+        "prior_weights": [1.0], "prior_means": [[0.0] * p],
+        "prior_variances": [1.0], "y": y.tolist(), "sigma": 1.0,
+        "eta": 0.02, "steps": 30_000, "chains": chains,
+        "record_every": 10}).params
+    kept, _ = experiment._posterior_chains(conj, seed)
     chain_means = np.array([k.mean(axis=0) for k in kept])
     pooled = np.concatenate(kept)
     se = chain_means.std(axis=0, ddof=1) / math.sqrt(chains)
@@ -435,29 +414,22 @@ def c10_posterior_oracles(seed: int) -> CheckResult:
     cov_ok = cov_dev <= 0.05
 
     # mixture part: 2-component prior, linear G2, quadrature reference
-    prior2 = priors.GaussianMixturePrior(
-        weights=np.array([0.5, 0.5]),
-        means=np.array([[-1.5, 0.0], [1.5, 0.5]]),
-        variances=np.array([0.4, 0.3]))
-    M = np.array([[1.0, 0.3], [-0.2, 0.8]])
-    sigma = 0.7
-    y2 = np.array([0.5, -0.3])
-    problem2 = gen.InverseProblem(generator=None,
-                                  map=gen.MeasurementMap(matrix=None, m=2),
-                                  y=y2, noise_sigma=sigma)
-    kept2 = []
-    for c in range(4):
-        cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=30_000,
-                                 seed=seed + 131 + c, record_every=10)
-        traj = smp.posterior_sgld(problem2, prior2, M, cfg)
-        half = len(traj.states) // 2
-        kept2.append(traj.states[half:])
+    mix = validate_config("posterior", {
+        "prior_weights": [0.5, 0.5], "prior_means": [[-1.5, 0.0], [1.5, 0.5]],
+        "prior_variances": [0.4, 0.3], "g2": [[1.0, 0.3], [-0.2, 0.8]],
+        "y": [0.5, -0.3], "sigma": 0.7, "eta": 0.01, "steps": 30_000,
+        "chains": 4, "record_every": 10}).params
+    # the mode seeds chain c with seed + 101 + c, so these chains keep the
+    # frozen seeds seed + 131 + c
+    kept2, _ = experiment._posterior_chains(mix, seed + 30)
     samples = np.concatenate(kept2)
+    prior2 = experiment._prior(mix)
+    M, y2 = np.array(mix["g2"]), np.array(mix["y"])
 
     def log_post(Z):
         r = Z @ M.T - y2
         logp, _ = priors.gmm_log_density_and_score(prior2, Z)
-        return -0.5 * np.sum(r * r, axis=-1) / sigma**2 + logp
+        return -0.5 * np.sum(r * r, axis=-1) / mix["sigma"]**2 + logp
 
     ref = diag.grid_density_sampler(log_post, ((-4.0, 4.0), (-4.0, 4.0)),
                                     resolution=300, count=len(samples),
@@ -478,41 +450,20 @@ def c10_posterior_oracles(seed: int) -> CheckResult:
 
 
 def c11_baseline_ordering(seed: int) -> CheckResult:
-    dims = [8, 64, 2048]
-    runs, steps = 20, 300
-    mask_fraction = 0.0075
-    eta_csgm, eta_ilo, radius = 1.0, 1.0, 5.0
-    m_obs = max(1, round(mask_fraction * dims[-1]))
-    res_csgm, res_ilo = [], []
-    for r in range(runs):
-        rng = np.random.default_rng((seed, 11, r))
-        G = gen.build_generator(dims, seed=int(rng.integers(2**63)))
-        z_true = rng.standard_normal(dims[0])
-        y = gen.forward(G, z_true)[0]
-        mask = np.zeros(dims[-1], dtype=bool)
-        mask[rng.choice(dims[-1], size=m_obs, replace=False)] = True
-        problem = gen.InverseProblem(
-            generator=G, map=gen.MeasurementMap(matrix=None, m=dims[-1]),
-            y=y, mask=mask)
-        z0 = rng.standard_normal(dims[0])
-
-        def pg(z):
-            return gen.empirical_loss_grad(problem, z)
-
-        tr_c = smp.run_gd(pg, z0, eta=eta_csgm, steps=steps, record_every=steps)
-        tr_i = smp.run_ilo_baseline(problem, split_layer=1, radius=radius,
-                                    eta=eta_ilo, steps=steps, z0=z0)
-        res_csgm.append(math.sqrt(2.0 * tr_c.losses[-1]))
-        res_ilo.append(math.sqrt(2.0 * tr_i.losses[-1]))
-    med_c = float(np.median(res_csgm))
-    med_i = float(np.median(res_ilo))
+    inv = validate_config("invert", {
+        "dims": [8, 64, 2048], "runs": 20, "steps": 300,
+        "mask_fraction": 0.0075, "eta_csgm": 1.0, "eta_ilo": 1.0,
+        "radius": 5.0, "split_layer": 1}).params
+    rows, _ = experiment._invert_rows(inv, seed)
+    med_c = float(np.median([r[2] for r in rows]))
+    med_i = float(np.median([r[3] for r in rows]))
     passed = med_i < med_c
     return CheckResult("c11_baseline_ordering", statistic=med_i, bound=med_c,
                        ci_low=None, ci_high=None, passed=passed,
-                       detail=f"median residual over {runs} runs at "
-                              f"{m_obs}/{dims[-1]} observed: l1-projected "
-                              f"intermediate {med_i:.4f} < latent-only "
-                              f"{med_c:.4f}")
+                       detail=f"median residual over {inv['runs']} runs at "
+                              f"{rows[0][1]}/{inv['dims'][-1]} observed: "
+                              f"l1-projected intermediate {med_i:.4f} < "
+                              f"latent-only {med_c:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +471,6 @@ def c11_baseline_ordering(seed: int) -> CheckResult:
 
 
 def c12_determinism(seed: int) -> CheckResult:
-    import filecmp
-    import tempfile
-    from pathlib import Path
-
-    from .config import validate_config
-    from .experiment import run_experiment
-
     tiny = {
         "landscape": {"d": 2, "n": 4, "r_points": 12, "theta_points": 13},
         "wdc": {"n_values": [64, 128], "pairs": 10},
@@ -549,7 +493,7 @@ def c12_determinism(seed: int) -> CheckResult:
                 out = Path(tmp) / rep
                 out.mkdir()
                 cfg = validate_config(mode, raw, out_dir=str(out))
-                run_experiment(cfg, strict_checks=False)
+                experiment.run_experiment(cfg, strict_checks=False)
                 outputs.append(sorted(p for p in out.rglob("*") if p.is_file()))
             names_a = [p.name for p in outputs[0]]
             names_b = [p.name for p in outputs[1]]

@@ -5,7 +5,9 @@ parameters, the list of emitted artifacts, and a compact numeric summary.
 Artifacts are CSV (header row, full-precision floats) plus optional
 self-contained SVG plots.  Writes are atomic (temp file then rename) and
 contain no wall-clock timestamps, so re-running a config byte-reproduces
-the output; timing goes to stderr only.
+the output; timing goes to stderr only.  JSON is strict: a value with no
+finite form is written as null.  mix, invert and posterior list their
+diverged chains or runs in the summary and exit 5.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .. import generator as gen
 from .. import landscape as ls
 from .. import priors
 from .. import samplers as smp
-from .checks import theory_check_suite
+from . import checks
 from .config import ExperimentConfig
 
 __all__ = ["run_experiment"]
@@ -63,7 +65,8 @@ def _write_svg(path: Path, xs, series: dict, title: str) -> None:
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        # a constant curve; past 2**53 adding 1 leaves it unchanged
+        y_hi = max(y_lo + 1.0, float(np.nextafter(y_lo, math.inf)))
 
     def sx(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * (w - ml - mr)
@@ -102,7 +105,9 @@ def _write_svg(path: Path, xs, series: dict, title: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# mode runners: each returns (artifact names, summary dict, exit code)
+# mode runners: each returns (artifact names, summary dict, exit code).
+# A mode whose experiment the checks also run splits into a workload
+# function (params, seed) -> rows, which the check calls too, and a writer.
 
 
 def _run_landscape(cfg, out: Path):
@@ -142,75 +147,82 @@ def _run_landscape(cfg, out: Path):
     return artifacts, summary, 0
 
 
-def _run_wdc(cfg, out: Path):
-    p = cfg.params
+def _deviation_row(size: int, devs) -> tuple:
+    devs = np.sort(devs)
+    return (int(size), float(np.median(devs)),
+            float(devs[int(0.9 * (len(devs) - 1))]), float(devs[-1]))
+
+
+def _wdc_rows(p: dict, seed: int) -> list[tuple]:
+    """(n_rows, median, p90, max) WDC deviation at each layer width."""
     k = p["k"]
     rows = []
     for idx, n in enumerate(p["n_values"]):
-        rng = np.random.default_rng((cfg.seed, 4, idx))
+        rng = np.random.default_rng((seed, 4, idx))
         devs = []
         for _ in range(p["pairs"]):
             W = rng.standard_normal((n, k)) / math.sqrt(n)
             x = rng.standard_normal(k)
             y = rng.standard_normal(k)
             devs.append(gen.wdc_deviation(W, x, y).deviation)
-        devs = np.sort(devs)
-        rows.append((int(n), float(np.median(devs)),
-                     float(devs[int(0.9 * (len(devs) - 1))]),
-                     float(devs[-1])))
-    _write_csv(out / "wdc_deviation.csv",
-               ["n_rows", "median_deviation", "p90_deviation",
-                "max_deviation"], rows)
-    artifacts = ["wdc_deviation.csv"]
-    if p["svg"]:
-        _write_svg(out / "wdc_deviation.svg", [r[0] for r in rows],
-                   {"median": [r[1] for r in rows],
-                    "p90": [r[2] for r in rows]},
-                   f"directional-curvature deviation vs rows (k={k})")
-        artifacts.append("wdc_deviation.svg")
-    summary = {"medians": [r[1] for r in rows],
-               "monotone_decreasing":
-                   all(a > b for a, b in zip([r[1] for r in rows],
-                                             [r[1] for r in rows][1:]))}
-    return artifacts, summary, 0
+        rows.append(_deviation_row(n, devs))
+    return rows
 
 
-def _run_rric(cfg, out: Path):
-    p = cfg.params
-    G = gen.build_generator(p["dims"], seed=cfg.seed + 1)
+def _rric_rows(p: dict, seed: int) -> list[tuple]:
+    """(m, median, p90, max) RRIC deviation at each measurement count."""
+    G = gen.build_generator(p["dims"], seed=seed + 1)
     rows = []
     for idx, m in enumerate(p["m_values"]):
-        rng = np.random.default_rng((cfg.seed, 5, idx))
+        rng = np.random.default_rng((seed, 5, idx))
         devs = []
         for _ in range(p["tuples"]):
             A = gen.gaussian_map(m, p["dims"][-1],
                                  seed=int(rng.integers(2**63)))
             xs = rng.standard_normal((4, p["dims"][0]))
             devs.append(gen.rric_deviation(A, G, *xs))
-        devs = np.sort(devs)
-        rows.append((int(m), float(np.median(devs)),
-                     float(devs[int(0.9 * (len(devs) - 1))]),
-                     float(devs[-1])))
-    _write_csv(out / "rric_deviation.csv",
-               ["m", "median_deviation", "p90_deviation", "max_deviation"],
-               rows)
-    artifacts = ["rric_deviation.csv"]
+        rows.append(_deviation_row(m, devs))
+    return rows
+
+
+# mode -> (workload, first CSV column, SVG title)
+_DEVIATION = {
+    "wdc": (_wdc_rows, "n_rows",
+            "directional-curvature deviation vs rows (k={k})"),
+    "rric": (_rric_rows, "m",
+             "range-restricted isometry deviation vs measurements"),
+}
+
+
+def _run_deviation(cfg, out: Path):
+    p = cfg.params
+    workload, size_column, title = _DEVIATION[cfg.mode]
+    rows = workload(p, cfg.seed)
+    name = f"{cfg.mode}_deviation"
+    _write_csv(out / f"{name}.csv",
+               [size_column, "median_deviation", "p90_deviation",
+                "max_deviation"], rows)
+    artifacts = [f"{name}.csv"]
     if p["svg"]:
-        _write_svg(out / "rric_deviation.svg", [r[0] for r in rows],
+        _write_svg(out / f"{name}.svg", [r[0] for r in rows],
                    {"median": [r[1] for r in rows],
-                    "p90": [r[2] for r in rows]},
-                   "range-restricted isometry deviation vs measurements")
-        artifacts.append("rric_deviation.svg")
-    summary = {"medians": [r[1] for r in rows],
+                    "p90": [r[2] for r in rows]}, title.format(**p))
+        artifacts.append(f"{name}.svg")
+    medians = [r[1] for r in rows]
+    summary = {"medians": medians,
                "monotone_decreasing":
-                   all(a > b for a, b in zip([r[1] for r in rows],
-                                             [r[1] for r in rows][1:]))}
+                   all(a > b for a, b in zip(medians, medians[1:]))}
     return artifacts, summary, 0
 
 
-def _run_mix(cfg, out: Path):
-    p = cfg.params
-    d, beta, eta = p["d"], p["beta"], p["eta"]
+def _mix_curve(p: dict, seed: int):
+    """Sliced W1 of a cold-started ensemble to the quadrature reference.
+
+    Returns ([(step, w1)] for every snapshot the run recorded, sorted ids
+    of chains that diverged).  Once every chain has stopped the run ends,
+    so later snapshots are missing from the curve.
+    """
+    d, beta = p["d"], p["beta"]
     snapshots = sorted(p["snapshot_steps"])
     zs = np.array([1.0, 0.0])
     params = ls.ModifiedLossParams.for_depth(d, beta=beta)
@@ -219,35 +231,45 @@ def _run_mix(cfg, out: Path):
         return ls.modified_loss(Z, zs, d, params)
 
     z0 = np.tile(np.array([-p["start_radius"], 0.0]), (p["chains"], 1))
-    record_every = max(1, math.gcd(*snapshots) if len(snapshots) > 1
-                       else snapshots[0])
-    lcfg = smp.LangevinConfig(eta=eta, beta=beta, steps=snapshots[-1],
-                              seed=cfg.seed + 61, record_every=record_every)
+    lcfg = smp.LangevinConfig(eta=p["eta"], beta=beta, steps=snapshots[-1],
+                              seed=seed + 61,
+                              record_every=math.gcd(*snapshots))
     run = smp.run_langevin_ensemble(pg, z0, lcfg)
     ref = diag.reference_grid_sampler(d, beta, 2, grid=p["grid"],
-                                      count=p["chains"], seed=cfg.seed + 62)
-    rows = []
-    for t in snapshots:
-        w1 = diag.sliced_w1(run.snapshot(t), ref.samples,
-                            projections=p["projections"],
-                            seed=cfg.seed + 63)
-        rows.append((int(t), float(w1)))
+                                      count=p["chains"], seed=seed + 62)
+    recorded = set(run.step_indices.tolist())
+    rows = [(int(t), float(diag.sliced_w1(run.snapshot(t), ref.samples,
+                                          projections=p["projections"],
+                                          seed=seed + 63)))
+            for t in snapshots if t in recorded]
+    return rows, np.nonzero(run.aborted_at >= 0)[0].tolist()
+
+
+def _run_mix(cfg, out: Path):
+    p = cfg.params
+    rows, aborted = _mix_curve(p, cfg.seed)
     _write_csv(out / "mixing_w1.csv", ["step", "sliced_w1"], rows)
     artifacts = ["mixing_w1.csv"]
-    if p["svg"]:
+    if p["svg"] and rows:
         _write_svg(out / "mixing_w1.svg", [r[0] for r in rows],
                    {"sliced W1": [r[1] for r in rows]},
-                   f"transport distance to reference (beta={beta})")
+                   f"transport distance to reference (beta={p['beta']})")
         artifacts.append("mixing_w1.svg")
-    summary = {"final_w1": rows[-1][1],
-               "w1_curve": {str(t): w for t, w in rows}}
-    return artifacts, summary, 0
+    summary = {"final_w1": rows[-1][1] if rows else None,
+               "w1_curve": {str(t): w for t, w in rows},
+               "aborted_chains": aborted}
+    return artifacts, summary, 5 if aborted else 0
 
 
-def _invert_one(cfg, run_id: int):
-    p = cfg.params
+def _invert_one(p: dict, seed: int, run_id: int):
+    """One random inverse problem solved both ways.
+
+    Returns ((run, observed coords, latent residual, intermediate
+    residual), whether either descent diverged).  A diverged descent
+    reports the residual of its last recorded finite state.
+    """
     dims = p["dims"]
-    rng = np.random.default_rng((cfg.seed, 11, run_id))
+    rng = np.random.default_rng((seed, 11, run_id))
     G = gen.build_generator(dims, seed=int(rng.integers(2**63)))
     z_true = rng.standard_normal(dims[0])
     y = gen.forward(G, z_true)[0]
@@ -269,20 +291,31 @@ def _invert_one(cfg, run_id: int):
     tr_i = smp.run_ilo_baseline(problem, split_layer=p["split_layer"],
                                 radius=p["radius"], eta=p["eta_ilo"],
                                 steps=p["steps"], z0=z0)
-    return (run_id, m_obs, math.sqrt(2.0 * float(tr_c.losses[-1])),
-            math.sqrt(2.0 * float(tr_i.losses[-1])))
+    row = (run_id, m_obs, math.sqrt(2.0 * float(tr_c.losses[-1])),
+           math.sqrt(2.0 * float(tr_i.losses[-1])))
+    return row, tr_c.aborted_at is not None or tr_i.aborted_at is not None
 
 
-def _run_invert(cfg, out: Path):
-    p = cfg.params
+def _invert_rows(p: dict, seed: int):
+    """Rows of every run in run order, and the ids of diverged runs.
+
+    Runs go to LANGSCAPE_THREADS threads; each draws from its own seeded
+    stream, so the result does not depend on the thread count.
+    """
     workers = int(os.environ.get("LANGSCAPE_THREADS", "1"))
     ids = range(p["runs"])
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda r: _invert_one(cfg, r), ids))
+            done = list(pool.map(lambda r: _invert_one(p, seed, r), ids))
     else:
-        rows = [_invert_one(cfg, r) for r in ids]
-    rows.sort(key=lambda r: r[0])
+        done = [_invert_one(p, seed, r) for r in ids]
+    return ([row for row, _ in done],
+            [row[0] for row, diverged in done if diverged])
+
+
+def _run_invert(cfg, out: Path):
+    p = cfg.params
+    rows, aborted = _invert_rows(p, cfg.seed)
     _write_csv(out / "invert_runs.csv",
                ["run", "observed_coords", "residual_latent_descent",
                 "residual_intermediate_projected"], rows)
@@ -298,44 +331,60 @@ def _run_invert(cfg, out: Path):
         artifacts.append("invert_residuals.svg")
     summary = {"median_residual_latent": med_c,
                "median_residual_intermediate": med_i,
-               "intermediate_beats_latent": med_i < med_c}
-    return artifacts, summary, 0
+               "intermediate_beats_latent": med_i < med_c,
+               "aborted_runs": aborted}
+    return artifacts, summary, 5 if aborted else 0
 
 
-def _run_posterior(cfg, out: Path):
-    p = cfg.params
-    prior = priors.GaussianMixturePrior(
+def _prior(p: dict) -> priors.GaussianMixturePrior:
+    return priors.GaussianMixturePrior(
         weights=np.asarray(p["prior_weights"], dtype=float),
         means=np.asarray(p["prior_means"], dtype=float),
         variances=np.asarray(p["prior_variances"], dtype=float))
+
+
+def _posterior_chains(p: dict, seed: int):
+    """SGLD chains on the posterior; chain c is seeded seed + 101 + c.
+
+    Returns (the kept second half of each chain's records, sorted ids of
+    chains that diverged).
+    """
+    prior = _prior(p)
     y = np.asarray(p["y"], dtype=float)
     g2 = p["g2"]
     tail = None if g2 == "identity" else np.asarray(g2, dtype=float)
     problem = gen.InverseProblem(
         generator=None, map=gen.MeasurementMap(matrix=None, m=len(y)),
         y=y, noise_sigma=p["sigma"])
-    kept, rows, aborted = [], [], []
+    kept, aborted = [], []
     for c in range(p["chains"]):
         lcfg = smp.LangevinConfig(eta=p["eta"], beta=1.0, steps=p["steps"],
-                                  seed=cfg.seed + 101 + c,
+                                  seed=seed + 101 + c,
                                   record_every=p["record_every"])
         traj = smp.posterior_sgld(problem, prior, tail, lcfg,
                                   likelihood_weight=p["likelihood_weight"])
         if traj.aborted_at is not None:
             aborted.append(c)
-        half = len(traj.states) // 2
-        kept.append(traj.states[half:])
-        for state in traj.states[half:]:
-            rows.append((c, *map(float, state)))
-    dim = prior.dim
+        kept.append(traj.states[len(traj.states) // 2:])
+    return kept, aborted
+
+
+def _run_posterior(cfg, out: Path):
+    p = cfg.params
+    kept, aborted = _posterior_chains(p, cfg.seed)
+    rows = [(c, *map(float, state))
+            for c, states in enumerate(kept) for state in states]
+    pooled = np.concatenate(kept)
+    dim = pooled.shape[1]
     _write_csv(out / "posterior_samples.csv",
                ["chain"] + [f"x{i}" for i in range(dim)], rows)
-    pooled = np.concatenate(kept)
-    mean = pooled.mean(axis=0)
-    cov = np.cov(pooled.T).reshape(dim, dim)
+    cov = None
+    if len(pooled) > 1:
+        cov = [[float(v) for v in row]
+               for row in np.cov(pooled.T).reshape(dim, dim)]
     summary = {"sample_count": int(len(pooled)),
-               "mean": [float(v) for v in mean],
-               "cov": [[float(v) for v in row] for row in cov],
+               "mean": [float(v) for v in pooled.mean(axis=0)],
+               "cov": cov,
                "aborted_chains": aborted}
     artifacts = ["posterior_samples.csv"]
     if p["svg"]:
@@ -352,7 +401,7 @@ def _run_theory_check(cfg, out: Path, strict: bool):
     p = cfg.params
     ids = p["checks"] or None
     t0 = time.monotonic()
-    results = theory_check_suite(cfg.seed, ids)
+    results = checks.theory_check_suite(cfg.seed, ids)
     records = []
     for r in results:
         records.append(r.record())
@@ -372,33 +421,27 @@ def _run_theory_check(cfg, out: Path, strict: bool):
     return ["theory_report.json"], summary, code
 
 
+_RUNNERS = {"landscape": _run_landscape, "wdc": _run_deviation,
+            "rric": _run_deviation, "mix": _run_mix, "invert": _run_invert,
+            "posterior": _run_posterior}
+
+
 def run_experiment(config: ExperimentConfig, strict_checks: bool = True) -> int:
     """Execute one validated config; returns the process exit code."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
-    if config.mode == "landscape":
-        artifacts, summary, code = _run_landscape(config, out)
-    elif config.mode == "wdc":
-        artifacts, summary, code = _run_wdc(config, out)
-    elif config.mode == "rric":
-        artifacts, summary, code = _run_rric(config, out)
-    elif config.mode == "mix":
-        artifacts, summary, code = _run_mix(config, out)
-    elif config.mode == "invert":
-        artifacts, summary, code = _run_invert(config, out)
-    elif config.mode == "posterior":
-        artifacts, summary, code = _run_posterior(config, out)
-    elif config.mode == "theory-check":
+    if config.mode == "theory-check":
         artifacts, summary, code = _run_theory_check(config, out,
                                                      strict_checks)
-    else:  # pragma: no cover - validate_config rejects unknown modes
-        raise ValueError(f"unhandled mode {config.mode!r}")
+    else:
+        artifacts, summary, code = _RUNNERS[config.mode](config, out)
     result = {"mode": config.mode, "config_hash": config.hash(),
               "params": config.params, "artifacts": sorted(artifacts),
               "summary": summary}
     _atomic_write(out / "result.json",
-                  json.dumps(result, indent=2, sort_keys=True) + "\n")
+                  json.dumps(result, indent=2, sort_keys=True,
+                             allow_nan=False) + "\n")
     print(f"[{config.mode}] wrote {len(artifacts) + 1} files to {out} "
           f"in {time.monotonic() - t0:.1f}s", file=sys.stderr)
     return code

@@ -33,9 +33,7 @@ __all__ = [
     "THETA_SWITCH",
     "PolarFrame",
     "ThetaChain",
-    "SmoothStepParams",
     "ModifiedLossParams",
-    "dyn_g",
     "theta_chain",
     "polar_frame",
     "saddle_radius",
@@ -43,7 +41,6 @@ __all__ = [
     "ideal_gradient",
     "ideal_hessian",
     "hessian_vector_product",
-    "smooth_step",
     "modified_loss",
     "potential",
 ]
@@ -97,20 +94,6 @@ class ThetaChain:
     theta_d_prime: float | np.ndarray
     theta_d_double_prime: float | np.ndarray
     depth: int
-
-
-@dataclass(frozen=True)
-class SmoothStepParams:
-    """Knots of the piecewise-quadratic step: 0 on [0,a], 1 on [b,inf)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a >= 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"smooth step requires a >= 0, got a={self.a}")
-        if not (self.b > self.a and math.isfinite(self.b)):
-            raise ValueError(f"smooth step requires b > a, got a={self.a}, b={self.b}")
 
 
 @dataclass(frozen=True)
@@ -190,21 +173,6 @@ def _g_core(th: np.ndarray):
         gp[hi] = e2 * (1.0 - e2 / 6.0 + e2 * e2 / 120.0) / math.pi
         gpp[hi] = -e * (2.0 - 2.0 * e2 / 3.0 + e2 * e2 / 20.0) / math.pi
 
-    return g, gp, gpp
-
-
-def dyn_g(theta):
-    """One step of the angle dynamical system.
-
-    Returns (g, g_prime, g_second) with g = arccos(((pi-theta) cos(theta)
-    + sin(theta)) / pi).  g is increasing with g(theta) <= theta,
-    g' in [0, 1], g'' <= 0; endpoints are evaluated by series expansion.
-    Accepts a scalar or an array of angles in [0, pi].
-    """
-    th, scalar = _as_angle_array(theta)
-    g, gp, gpp = _g_core(np.atleast_1d(th))
-    if scalar:
-        return float(g[0]), float(gp[0]), float(gpp[0])
     return g, gp, gpp
 
 
@@ -452,22 +420,6 @@ def _step_parts(a: float, b: float, r: np.ndarray):
     h[m4] = 1.0
     h_r[m4] = 0.0
     h_rr[m4] = 0.0
-    return h, h_r, h_rr
-
-
-def smooth_step(params: SmoothStepParams, r):
-    """Evaluate the step and its first two radial derivatives at r >= 0.
-
-    h rises from 0 at a to 1 at b through two quadratic arcs meeting at
-    ((a+b)/2, 1/2); h and h_r are continuous, h_rr jumps at the knots.
-    """
-    rr = np.asarray(r, dtype=float)
-    scalar = rr.ndim == 0
-    if np.any(rr < 0.0):
-        raise ValueError("smooth_step requires r >= 0")
-    h, h_r, h_rr = _step_parts(params.a, params.b, np.atleast_1d(rr))
-    if scalar:
-        return float(h[0]), float(h_r[0]), float(h_rr[0])
     return h, h_r, h_rr
 
 

@@ -3,12 +3,10 @@
 Everything here is deliberately written with different algorithms than the
 library code: finite differences instead of analytic derivatives, extended
 precision instead of series branches, constrained SLSQP instead of
-sort-and-threshold projection, permutation enumeration instead of the
-Hungarian method, quadrature instead of sampling.  Tests compare library
+sort-and-threshold projection, quadrature instead of sampling.  Tests compare library
 output against these, never against the library itself.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -81,19 +79,6 @@ def l1_projection_slsqp(point, center, radius):
                             constraints=[cons], method="SLSQP",
                             options={"maxiter": 500, "ftol": 1e-14})
     return res.x
-
-
-def assignment_w1_bruteforce(xs, ys):
-    """Exact optimal-matching transport cost by permutation enumeration."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    n = len(xs)
-    best = math.inf
-    for perm in itertools.permutations(range(n)):
-        cost = sum(float(np.linalg.norm(xs[i] - ys[perm[i]]))
-                   for i in range(n))
-        best = min(best, cost)
-    return best / n
 
 
 def sorted_w1_1d(a, b):

@@ -8,8 +8,7 @@ from langscape import diagnostics as diag
 from langscape import landscape as ls
 from langscape import samplers as smp
 
-from oracles import (assignment_w1_bruteforce, fd_hessian,
-                     mean_abs_coordinate_exact, sorted_w1_1d)
+from oracles import fd_hessian, mean_abs_coordinate_exact, sorted_w1_1d
 
 SEED = 60221
 
@@ -72,24 +71,6 @@ def test_sliced_w1_detects_translation():
     d1 = diag.sliced_w1(a, b, projections=64, seed=SEED + 5)
     assert d0 == pytest.approx(0.0, abs=1e-12)
     assert d1 > 0.1
-
-
-def test_assignment_w1_matches_bruteforce():
-    rng = np.random.default_rng(SEED + 6)
-    for _ in range(8):
-        n = int(rng.integers(2, 8))
-        a = rng.standard_normal((n, 2))
-        b = rng.standard_normal((n, 2))
-        assert diag.assignment_w1(a, b) == pytest.approx(
-            assignment_w1_bruteforce(a, b), rel=1e-12)
-
-
-def test_assignment_w1_caps_sample_count():
-    rng = np.random.default_rng(SEED + 7)
-    a = rng.standard_normal((600, 2))
-    b = rng.standard_normal((600, 2))
-    with pytest.raises(ValueError):
-        diag.assignment_w1(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -214,24 +213,6 @@ def test_gradient_proximity_decreases_with_expansion():
         assert 0.0 <= rep.median_ratio <= rep.max_ratio
         medians.append(rep.median_ratio)
     assert medians[1] < medians[0]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_generator_json_roundtrip():
-    G = gen.build_generator([3, 12, 24], seed=SEED + 25)
-    text = gen.generator_to_json(G)
-    G2 = gen.generator_from_json(text)
-    assert G2.dims == G.dims
-    assert G2.scale == G.scale
-    for a, b in zip(G.weights, G2.weights):
-        assert np.array_equal(a, b)       # bit-exact through the text form
-    z = np.random.default_rng(SEED + 26).standard_normal(3)
-    assert np.array_equal(gen.forward(G, z)[0], gen.forward(G2, z)[0])
-    # canonical text: serializing twice is identical
-    assert gen.generator_to_json(G2) == text
 
 
 def test_measurement_map_identity_and_transpose():

@@ -44,6 +44,8 @@ def test_seed_override_wins_over_config_value():
     cfg = validate_config("landscape", {"d": 2, "n": 4, "seed": 5},
                           seed_override=9)
     assert cfg.params["seed"] == 9
+    with pytest.raises(ConfigError, match=r"'seed' must be integer >= 0"):
+        validate_config("landscape", {"d": 2, "n": 4}, seed_override=-3)
 
 
 def test_unknown_key_error_names_key_and_mode():
@@ -86,8 +88,37 @@ def test_load_json_rejects_malformed_and_non_object(tmp_path):
 
 def test_describe_schema_marks_required_and_defaults():
     text = describe_schema("invert")
-    assert "radius: number (required)" in text
-    assert "steps: integer (default 300)" in text
+    assert "radius: number >= 0 (required)" in text
+    assert "steps: integer >= 1 (default 300)" in text
+
+
+_PRIOR = {"prior_means": [[0.0, 0.0]], "prior_variances": [1.0],
+          "y": [0.3, -0.2], "sigma": 1.0}
+
+
+@pytest.mark.parametrize("mode, raw, key", [
+    ("mix", {"chains": 0}, "chains"),
+    ("mix", {"eta": -1}, "eta"),
+    ("mix", {"snapshot_steps": [0]}, "snapshot_steps"),
+    ("invert", {"dims": [8, 64, 2048], "radius": 2.0, "split_layer": 5},
+     "split_layer"),
+    ("invert", {"dims": [8, 64, 2048], "radius": 2.0, "mask_fraction": 2.0},
+     "mask_fraction"),
+    ("landscape", {"d": -1, "n": 4}, "d"),
+    ("landscape", {"d": 0, "n": 4}, "d"),
+    ("landscape", {"d": 2, "n": 1}, "n"),
+    ("wdc", {"pairs": 0}, "pairs"),
+    ("wdc", {"seed": -1}, "seed"),
+    ("posterior", {"prior_weights": [0.5], **_PRIOR}, "prior_weights"),
+    ("posterior", {"prior_weights": [0.5, 0.5], **_PRIOR}, "prior_weights"),
+])
+def test_cli_out_of_range_config_exits_2_naming_the_key(tmp_path, capsys,
+                                                         mode, raw, key):
+    cfg = _write_cfg(tmp_path, raw)
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'{key}'" in err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +368,85 @@ def test_cli_posterior_divergence_exits_5(tmp_path):
         assert main(["posterior", "--config", cfg, "--out", str(out)]) == 5
     result = json.loads((out / "result.json").read_text())
     assert result["summary"]["aborted_chains"] == [0, 1]
+
+
+def test_cli_invert_divergence_exits_5(tmp_path):
+    # step 500 makes the latent descent blow up (runs stop at 225 and 182)
+    cfg = _write_cfg(tmp_path, {
+        "dims": [8, 64, 2048], "radius": 2.0, "runs": 2, "eta_csgm": 500.0,
+        "eta_ilo": 500.0, "steps": 600})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["invert", "--config", cfg, "--out", str(out)]) == 5
+    result = json.loads((out / "result.json").read_text())
+    assert result["summary"]["aborted_runs"] == [0, 1]
+    lines = (out / "invert_runs.csv").read_text().splitlines()
+    assert lines[0] == ("run,observed_coords,residual_latent_descent,"
+                        "residual_intermediate_projected")
+    assert len(lines) == 3
+
+
+@pytest.mark.parametrize("snapshots, curve", [([100], []), ([50, 100], ["50"])])
+def test_cli_mix_divergence_exits_5(tmp_path, snapshots, curve):
+    # at eta = 50 every chain stops at step 92, so step 100 is never reached
+    cfg = _write_cfg(tmp_path, {"eta": 50, "snapshot_steps": snapshots,
+                                "svg": True})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["mix", "--config", cfg, "--out", str(out)]) == 5
+    summary = json.loads((out / "result.json").read_text())["summary"]
+    assert summary["aborted_chains"] == list(range(200))
+    assert list(summary["w1_curve"]) == curve
+    assert summary["final_w1"] == (summary["w1_curve"][curve[-1]]
+                                   if curve else None)
+    lines = (out / "mixing_w1.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == curve
+
+
+def test_posterior_single_sample_writes_strict_json(tmp_path):
+    # one chain of 10 steps keeps a single record: its covariance is null
+    cfg = _write_cfg(tmp_path, {"prior_weights": [1.0], **_PRIOR,
+                                "steps": 10, "chains": 1})
+    out = tmp_path / "out"
+    assert main(["posterior", "--config", cfg, "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    result = json.loads((out / "result.json").read_text(),
+                        parse_constant=reject)
+    assert result["summary"]["sample_count"] == 1
+    assert result["summary"]["cov"] is None
+
+
+# ---------------------------------------------------------------------------
+# the mode and its check run one workload: the artifacts give the statistic
+
+
+def _csv_column(path: Path, col: int) -> list[float]:
+    return [float(line.split(",")[col])
+            for line in path.read_text().splitlines()[1:]]
+
+
+def test_mode_artifacts_reproduce_check_statistics(tmp_path):
+    medians = []
+    for mode in ("wdc", "rric"):
+        out = tmp_path / mode
+        assert run_experiment(validate_config(mode, {},
+                                              out_dir=str(out))) == 0
+        m = _csv_column(out / f"{mode}_deviation.csv", 1)
+        medians.append(m)
+    drops = [a - b for m in medians for a, b in zip(m, m[1:])]
+    assert min(drops) == hchecks.c04_wdc_rric(0).statistic
+
+    out = tmp_path / "invert"
+    cfg = validate_config("invert", {
+        "dims": [8, 64, 2048], "runs": 20, "steps": 300,
+        "mask_fraction": 0.0075, "eta_csgm": 1.0, "eta_ilo": 1.0,
+        "radius": 5.0, "split_layer": 1}, out_dir=str(out))
+    assert run_experiment(cfg) == 0
+    res = hchecks.c11_baseline_ordering(0)
+    assert float(np.median(_csv_column(out / "invert_runs.csv", 3))) \
+        == res.statistic
+    assert float(np.median(_csv_column(out / "invert_runs.csv", 2))) \
+        == res.bound

@@ -20,18 +20,24 @@ G4_PI = 0.9212493237558593
 # the scalar angle map
 
 
+def _g(theta):
+    """One step of the angle map: the depth-1 chain (g, g', g'')."""
+    c = ls.theta_chain(theta, 1)
+    return c.theta_d, c.theta_d_prime, c.theta_d_double_prime
+
+
 def test_angle_map_fixed_values():
-    g0, gp0, gpp0 = ls.dyn_g(0.0)
+    g0, gp0, gpp0 = _g(0.0)
     assert g0 == 0.0
     assert gp0 == 1.0
     assert gpp0 == pytest.approx(-2.0 / (3.0 * math.pi), abs=1e-14)
 
-    g_pi, gp_pi, gpp_pi = ls.dyn_g(math.pi)
+    g_pi, gp_pi, gpp_pi = _g(math.pi)
     assert g_pi == pytest.approx(math.pi / 2, abs=1e-15)
     assert gp_pi == 0.0
     assert gpp_pi == 0.0
 
-    g_half, _, _ = ls.dyn_g(math.pi / 2)
+    g_half, _, _ = _g(math.pi / 2)
     assert g_half == pytest.approx(ARCCOS_INV_PI, abs=1e-14)
 
 
@@ -41,7 +47,7 @@ def test_angle_map_against_highprec_direct_formula():
                                  np.linspace(1.01e-4, 3.0, 60),     # direct
                                  math.pi - np.geomspace(1e-3, 0.5, 40)]):
         expected = angle_map_highprec(theta)
-        got = ls.dyn_g(float(theta))[0]
+        got = _g(float(theta))[0]
         assert got == pytest.approx(expected, rel=2e-9, abs=1e-12)
 
 
@@ -52,7 +58,7 @@ def test_angle_map_derivatives_match_finite_differences():
               - angle_map_highprec(theta - h1)) / (2 * h1)
         gpp = (angle_map_highprec(theta + h2) - 2 * angle_map_highprec(theta)
                + angle_map_highprec(theta - h2)) / (h2 * h2)
-        _, lib_gp, lib_gpp = ls.dyn_g(float(theta))
+        _, lib_gp, lib_gpp = _g(float(theta))
         assert lib_gp == pytest.approx(gp, abs=5e-10)
         assert lib_gpp == pytest.approx(gpp, abs=1e-5)
 
@@ -61,7 +67,7 @@ def test_angle_map_shape_invariants():
     rng = np.random.default_rng(SEED)
     for _ in range(20):
         theta = np.sort(rng.uniform(0.0, math.pi, size=200))
-        g, gp, gpp = ls.dyn_g(theta)
+        g, gp, gpp = _g(theta)
         assert np.all(np.diff(g) > 0)          # strictly increasing
         assert np.all(g <= theta + 1e-15)
         assert np.all((gp >= 0.0) & (gp <= 1.0))
@@ -70,9 +76,9 @@ def test_angle_map_shape_invariants():
 
 def test_angle_map_rejects_out_of_domain():
     with pytest.raises(ValueError):
-        ls.dyn_g(-0.1)
+        _g(-0.1)
     with pytest.raises(ValueError):
-        ls.dyn_g(math.pi + 0.1)
+        _g(math.pi + 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,33 +230,35 @@ def test_loss_scales_with_target_norm():
 # smooth step
 
 
+def _step(r: float):
+    """The step with knots a = 1, b = 2 at one radius: (h, h_r, h_rr)."""
+    h, h_r, h_rr = ls._step_parts(1.0, 2.0, np.array([r]))
+    return float(h[0]), float(h_r[0]), float(h_rr[0])
+
+
 def test_smooth_step_values():
     # quadratic ramp: 0 at or below a, 1 above b, half way at the midpoint
-    sp = ls.SmoothStepParams(a=1.0, b=2.0)
-    assert ls.smooth_step(sp, 0.0)[0] == 0.0
-    assert ls.smooth_step(sp, 1.0)[0] == 0.0
-    assert ls.smooth_step(sp, 2.0)[0] == pytest.approx(1.0)
-    assert ls.smooth_step(sp, 1.5)[0] == pytest.approx(0.5)
-    assert ls.smooth_step(sp, 1.25)[0] == pytest.approx(0.125)
-    assert ls.smooth_step(sp, 1.75)[0] == pytest.approx(0.875)
+    assert _step(0.0)[0] == 0.0
+    assert _step(1.0)[0] == 0.0
+    assert _step(2.0)[0] == pytest.approx(1.0)
+    assert _step(1.5)[0] == pytest.approx(0.5)
+    assert _step(1.25)[0] == pytest.approx(0.125)
+    assert _step(1.75)[0] == pytest.approx(0.875)
 
 
 def test_smooth_step_derivatives_and_continuity():
-    sp = ls.SmoothStepParams(a=1.0, b=2.0)
     r = np.linspace(0.0, 3.0, 4001)
-    h, h_r, h_rr = ls.smooth_step(sp, r)
+    h, h_r, h_rr = ls._step_parts(1.0, 2.0, r)
     assert np.all(np.diff(h) >= 0.0)
     assert np.max(np.abs(np.diff(h))) < 2e-3   # no jumps on a fine grid
     assert h.min() == 0.0 and h.max() == pytest.approx(1.0)
     # first derivative against finite differences away from the knots
     for x in (1.1, 1.4, 1.6, 1.9):
-        fd = (ls.smooth_step(sp, x + 1e-7)[0]
-              - ls.smooth_step(sp, x - 1e-7)[0]) / 2e-7
-        assert ls.smooth_step(sp, x)[1] == pytest.approx(fd, abs=1e-6)
-        fd2 = (ls.smooth_step(sp, x + 1e-4)[0]
-               - 2 * ls.smooth_step(sp, x)[0]
-               + ls.smooth_step(sp, x - 1e-4)[0]) / 1e-8
-        assert ls.smooth_step(sp, x)[2] == pytest.approx(fd2, abs=1e-5)
+        fd = (_step(x + 1e-7)[0] - _step(x - 1e-7)[0]) / 2e-7
+        assert _step(x)[1] == pytest.approx(fd, abs=1e-6)
+        fd2 = (_step(x + 1e-4)[0] - 2 * _step(x)[0]
+               + _step(x - 1e-4)[0]) / 1e-8
+        assert _step(x)[2] == pytest.approx(fd2, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -367,5 +375,3 @@ def test_polar_frame_roundtrip():
 def test_modified_params_validation():
     with pytest.raises(ValueError):
         ls.ModifiedLossParams(r0=-1.0)
-    with pytest.raises(ValueError):
-        ls.SmoothStepParams(a=2.0, b=1.0)
