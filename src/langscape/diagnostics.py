@@ -277,20 +277,19 @@ def tail_statistics(trajs, beta: float, eta: float, A: float,
                       chains=len(trajs), threshold=threshold, t_min=t_min)
 
 
-def min_hessian_eig(x, z_star, d: int, n: int) -> float:
+def min_hessian_eig(x, z_star, d: int, n: int):
     """Smallest eigenvalue of the idealized-loss Hessian at x != 0.
 
     Exact from the polar coefficients: the (radial, tangential) 2x2 block
     eigenvalues and, for n >= 3, the (n-2)-fold coefficient of the
-    rotational directions.
+    rotational directions.  A float for one point x of shape (n,), an
+    array over the leading axes of a batch.
     """
     c_rr, c_tt, c_rt, c_psi, _ = ideal_hessian(x, z_star, d, n)
-    mid = 0.5 * (c_rr + c_tt)
-    rad = math.hypot(0.5 * (c_rr - c_tt), c_rt)
-    lam_min = mid - rad
+    lam_min = 0.5 * (c_rr + c_tt) - np.hypot(0.5 * (c_rr - c_tt), c_rt)
     if n >= 3:
-        lam_min = min(lam_min, c_psi)
-    return float(lam_min)
+        lam_min = np.minimum(lam_min, c_psi)
+    return float(lam_min) if np.ndim(x) == 1 else lam_min
 
 
 def potential_drift(x, z_star, d: int, params: ModifiedLossParams,

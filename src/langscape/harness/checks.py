@@ -117,8 +117,7 @@ def c01_gradient_fd(seed: int, grad_fn=None) -> CheckResult:
             V /= np.linalg.norm(V, axis=1, keepdims=True)
             fd_hv = (grad_fn(X + h * V, z_star, d)
                      - grad_fn(X - h * V, z_star, d)) / (2 * h)
-            hv = np.array([ls.hessian_vector_product(x, z_star, d, v)
-                           for x, v in zip(X, V)])
+            hv = ls.hessian_vector_product(X, z_star, d, V)
             rel_hv = np.linalg.norm(fd_hv - hv, axis=1) \
                 / np.maximum(np.linalg.norm(hv, axis=1), 1e-4)
             worst = max(worst, float(rel_hv.max()))
@@ -175,15 +174,13 @@ def c03_convexity_ball(seed: int) -> CheckResult:
     for d in (2, 3):
         rng = np.random.default_rng((seed, d))
         zs = _unit(rng.standard_normal(n))
-        H = np.array([ls.hessian_vector_product(zs, zs, d, e)
-                      for e in np.eye(n)])
+        H = ls.hessian_vector_product(np.tile(zs, (n, 1)), zs, d, np.eye(n))
         id_worst = max(id_worst, float(np.max(np.abs(H - np.eye(n)))))
 
         def shell_min(l, trials=300):
             dirs = rng.standard_normal((trials, n))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            return min(diag.min_hessian_eig(zs + l * u, zs, d, n)
-                       for u in dirs)
+            return diag.min_hessian_eig(zs + l * dirs, zs, d, n).min()
 
         lo, hi = 0.0, 1.0
         for _ in range(18):
@@ -197,7 +194,7 @@ def c03_convexity_ball(seed: int) -> CheckResult:
         dirs = rng.standard_normal((1500, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = zs + dirs * (l_hat * rng.random(1500) ** (1.0 / n))[:, None]
-        eigs = np.array([diag.min_hessian_eig(x, zs, d, n) for x in pts])
+        eigs = diag.min_hessian_eig(pts, zs, d, n)
         interior_ok = interior_ok and bool(np.all(eigs >= 0.9))
     stat = min(radii)
     passed = id_worst <= 1e-8 and interior_ok and stat >= 0.05

@@ -4,7 +4,9 @@ A config file is a flat JSON object whose allowed keys depend on the mode.
 Validation is strict: unknown keys are errors (named in the message), as
 are type mismatches, out-of-range values (each key's type states its
 range), missing required keys, an invert split layer outside the
-generator, and mixture-prior weights that do not form a distribution.
+generator, mixture-prior weights that do not form a distribution, a
+posterior observation y or tail g2 whose shape does not fit the prior,
+and unknown theory-check ids.
 The config hash is the sha256 of the canonical (sorted-key) JSON of the
 fully defaulted config, so key order in the file never matters and every
 emitted artifact can embed the hash of the exact settings that produced
@@ -157,7 +159,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     },
     "theory-check": {
         "seed": (*_SEED, 0),
-        "checks": (lambda v: isinstance(v, list) and len(v) > 0
+        "checks": (lambda v: isinstance(v, list)
                    and all(isinstance(x, str) for x in v),
                    "list of check ids", []),
     },
@@ -232,6 +234,20 @@ def validate_config(mode: str, raw: dict, seed_override: int | None = None,
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise ConfigError(f"config key 'prior_weights' must sum to 1 "
                               f"within 1e-12, got {w!r}")
+        dim, g2 = len(params["prior_means"][0]), params["g2"]
+        if g2 != "identity" and len(g2[0]) != dim:
+            raise ConfigError(f"config key 'g2' must have {dim} columns, "
+                              f"one per prior dimension, got {len(g2[0])}")
+        rows = dim if g2 == "identity" else len(g2)
+        if len(params["y"]) != rows:
+            raise ConfigError(f"config key 'y' must have {rows} entries, "
+                              f"one per output of 'g2', got {len(params['y'])}")
+    if mode == "theory-check":
+        from .checks import CHECK_IDS  # checks imports this module
+        unknown = [c for c in params["checks"] if c not in CHECK_IDS]
+        if unknown:
+            raise ConfigError(f"config key 'checks' has unknown check ids "
+                              f"{unknown!r}; known: {', '.join(CHECK_IDS)}")
     return ExperimentConfig(mode=mode, params=params, out_dir=out_dir)
 
 

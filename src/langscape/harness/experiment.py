@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -297,18 +296,8 @@ def _invert_one(p: dict, seed: int, run_id: int):
 
 
 def _invert_rows(p: dict, seed: int):
-    """Rows of every run in run order, and the ids of diverged runs.
-
-    Runs go to LANGSCAPE_THREADS threads; each draws from its own seeded
-    stream, so the result does not depend on the thread count.
-    """
-    workers = int(os.environ.get("LANGSCAPE_THREADS", "1"))
-    ids = range(p["runs"])
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(lambda r: _invert_one(p, seed, r), ids))
-    else:
-        done = [_invert_one(p, seed, r) for r in ids]
+    """Rows of every run in run order, and the ids of diverged runs."""
+    done = [_invert_one(p, seed, r) for r in range(p["runs"])]
     return ([row for row, _ in done],
             [row[0] for row, diverged in done if diverged])
 

@@ -31,11 +31,9 @@ import numpy as np
 
 __all__ = [
     "THETA_SWITCH",
-    "PolarFrame",
     "ThetaChain",
     "ModifiedLossParams",
     "theta_chain",
-    "polar_frame",
     "saddle_radius",
     "ideal_loss",
     "ideal_gradient",
@@ -60,25 +58,6 @@ _C4 = 1.0 / (90.0 * math.pi**2) - 5.0 / (648.0 * math.pi**4)
 
 # ---------------------------------------------------------------------------
 # types
-
-
-@dataclass(frozen=True)
-class PolarFrame:
-    """Polar decomposition of a point x relative to the target z*.
-
-    r is the ambient norm of x, theta the angle to z* in [0, pi].
-    unit_tangential is None exactly when theta is an endpoint (the
-    tangential direction is then undefined); r * unit_radial reconstructs x.
-    """
-
-    r: float
-    theta: float
-    unit_radial: np.ndarray
-    unit_tangential: np.ndarray | None
-
-    @property
-    def tangential_defined(self) -> bool:
-        return self.unit_tangential is not None
 
 
 @dataclass(frozen=True)
@@ -250,28 +229,6 @@ def _polar_parts(x, z_star):
     return x, s, r_amb / s, theta, rhat, zhat
 
 
-def polar_frame(x, z_star) -> PolarFrame:
-    """Decompose a nonzero point into (r, theta, rhat, thetahat) w.r.t. z*.
-
-    The tangential unit vector (cos(theta) rhat - zhat) / sin(theta) is
-    undefined on the z* axis; it is returned as None when sin(theta) < 1e-8.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("polar_frame expects a single vector")
-    if not np.any(x):
-        raise ValueError("polar frame undefined at x = 0")
-    _, s, r_canon, theta, rhat, zhat = _polar_parts(x, z_star)
-    theta = float(theta)
-    st = math.sin(theta)
-    if st >= 1e-8:
-        that = (math.cos(theta) * rhat - zhat) / st
-    else:
-        that = None
-    return PolarFrame(r=float(r_canon) * s, theta=theta,
-                      unit_radial=rhat, unit_tangential=that)
-
-
 # ---------------------------------------------------------------------------
 # idealized loss
 
@@ -360,29 +317,29 @@ def ideal_hessian(x, z_star, d: int, n: int):
 
 
 def hessian_vector_product(x, z_star, d: int, v):
-    """Apply the Hessian of ideal_loss at x to a vector v.
+    """Apply the Hessian of ideal_loss at x to v, row by row.
 
-    Assembled from the polar coefficients and the frame; on the z* axis
-    (tangential direction undefined) the tangential and psi coefficients
-    coincide analytically and the axis-symmetric form is used.
+    x and v share one shape (..., n).  Assembled from the polar
+    coefficients in the frame rhat, thetahat = (cos(theta) rhat - zhat)
+    / sin(theta); on the z* axis (sin(theta) < 1e-8) thetahat is set to
+    zero, which leaves the axis-symmetric form: there the tangential and
+    psi coefficients coincide analytically.
     """
-    x = np.asarray(x, dtype=float)
+    x, _, _, theta, rhat, zhat = _polar_parts(x, z_star)
     v = np.asarray(v, dtype=float)
-    if x.ndim != 1 or v.shape != x.shape:
-        raise ValueError("x and v must be vectors of equal length")
-    n = x.shape[0]
-    c_rr, c_tt, c_rt, c_psi, _ = ideal_hessian(x, z_star, d, n)
-    frame = polar_frame(x, z_star)
-    rhat = frame.unit_radial
-    vr = float(v @ rhat)
-    if frame.tangential_defined:
-        that = frame.unit_tangential
-        vt = float(v @ that)
-        rest = v - vr * rhat - vt * that
-        return (c_rr * vr + c_rt * vt) * rhat \
-            + (c_rt * vr + c_tt * vt) * that + c_psi * rest
-    rest = v - vr * rhat
-    return c_rr * vr * rhat + c_psi * rest
+    if v.shape != x.shape:
+        raise ValueError("x and v must share one shape (..., n)")
+    c_rr, c_tt, c_rt, c_psi = (np.asarray(c)[..., None] for c in
+                               ideal_hessian(x, z_star, d, x.shape[-1])[:4])
+    st = np.sin(theta)[..., None]
+    off = st >= 1e-8
+    that = np.where(off, np.cos(theta)[..., None] * rhat - zhat, 0.0) \
+        / np.where(off, st, 1.0)
+    vr = np.sum(v * rhat, axis=-1, keepdims=True)
+    vt = np.sum(v * that, axis=-1, keepdims=True)
+    rest = v - vr * rhat - vt * that
+    return (c_rr * vr + c_rt * vt) * rhat \
+        + (c_rt * vr + c_tt * vt) * that + c_psi * rest
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
-"""Analytic latent priors: isotropic Gaussian mixtures under VP noising.
+"""Analytic latent priors: isotropic Gaussian mixtures.
 
-A Gaussian mixture with per-component isotropic covariance is closed under
-the variance-preserving forward noising kernel (mean scale sqrt(alpha_bar),
-added variance 1 - alpha_bar), so its log-density and score are available
-exactly at every noise level.  These stand in for a trained score model in
-the samplers: same interface, zero approximation error.
+A Gaussian mixture with per-component isotropic covariance has its
+log-density and score in closed form.  It stands in for a trained score
+model in the samplers: same interface, zero approximation error.
 """
 
 from __future__ import annotations
@@ -17,9 +15,7 @@ from scipy.special import logsumexp
 
 __all__ = [
     "GaussianMixturePrior",
-    "VpSchedule",
     "gmm_log_density_and_score",
-    "vp_noised",
     "sample_prior",
 ]
 
@@ -60,28 +56,6 @@ class GaussianMixturePrior:
                    variances=np.array([1.0]))
 
 
-@dataclass(frozen=True)
-class VpSchedule:
-    """Variance-preserving noise schedule on t in [0, 1].
-
-    alpha_bar(t) = exp(-t beta_min - t^2 (beta_max - beta_min) / 2);
-    alpha_bar(0) = 1 and alpha_bar is strictly decreasing.
-    """
-
-    beta_min: float = 0.1
-    beta_max: float = 20.0
-
-    def __post_init__(self):
-        if not (0 < self.beta_min <= self.beta_max):
-            raise ValueError("need 0 < beta_min <= beta_max")
-
-    def alpha_bar(self, t: float) -> float:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {t}")
-        return math.exp(-t * self.beta_min
-                        - 0.5 * t * t * (self.beta_max - self.beta_min))
-
-
 def gmm_log_density_and_score(prior: GaussianMixturePrior, z):
     """log p(z) and its gradient, stabilized with log-sum-exp.
 
@@ -105,22 +79,6 @@ def gmm_log_density_and_score(prior: GaussianMixturePrior, z):
     if single:
         return float(logp), score
     return logp, score
-
-
-def vp_noised(prior: GaussianMixturePrior, t: float,
-              schedule: VpSchedule) -> GaussianMixturePrior:
-    """Marginal of the prior after VP noising to time t (closed form).
-
-    Component j becomes N(sqrt(alpha_bar) mean_j, (alpha_bar var_j
-    + 1 - alpha_bar) I); weights are unchanged.  t = 0 returns an equal
-    prior; the kernel composes multiplicatively in alpha_bar.
-    """
-    ab = schedule.alpha_bar(t)
-    return GaussianMixturePrior(
-        weights=prior.weights,
-        means=math.sqrt(ab) * prior.means,
-        variances=ab * prior.variances + (1.0 - ab),
-    )
 
 
 def sample_prior(prior: GaussianMixturePrior, count: int, seed: int) -> np.ndarray:

@@ -6,8 +6,7 @@ targeting exp(-beta U).  One loop (_chain) runs every variant: single
 chains and ensembles, gradient descent (beta = inf), l1-projected
 intermediate-layer descent (the classical sparse-deviations baseline),
 posterior SGLD on an intermediate latent with an exact mixture score,
-annealed reverse sampling from a VP-noised prior (hot start), and
-synchronously coupled chain pairs sharing their noise.  A chain whose
+and synchronously coupled chain pairs sharing their noise.  A chain whose
 potential or gradient turns non-finite stops at its last finite state.
 
 Potential oracles are callables z -> (U(z), grad U(z)), read-only and
@@ -21,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import InverseProblem, ReluGenerator, empirical_loss_grad, \
-    forward, split_forward
-from .priors import GaussianMixturePrior, VpSchedule, \
-    gmm_log_density_and_score, sample_prior, vp_noised
+from .generator import InverseProblem, ReluGenerator, _backprop, \
+    empirical_loss_grad, forward, split_forward
+from .priors import GaussianMixturePrior, gmm_log_density_and_score, \
+    sample_prior
 
 __all__ = [
     "LangevinConfig",
@@ -37,7 +36,6 @@ __all__ = [
     "project_l1",
     "run_ilo_baseline",
     "posterior_sgld",
-    "hot_start_reverse",
     "coupled_pair",
 ]
 
@@ -295,16 +293,8 @@ def _tail_map(G2, p: int):
         M = np.asarray(G2, dtype=float)
         return (lambda w: (w @ M.T, None)), (lambda w, aux, v: v @ M), M.shape[1]
     if isinstance(G2, ReluGenerator):
-        def apply(w):
-            out, masks = forward(G2, w)
-            return out, masks
-
-        def pullback(w, masks, v):
-            for wt, m in zip(reversed(G2.weights), reversed(masks)):
-                v = G2.scale * (np.where(m, v, 0.0) @ wt)
-            return v
-
-        return apply, pullback, G2.latent_dim
+        return (lambda w: forward(G2, w)), \
+            (lambda w, masks, v: _backprop(G2, masks, v)), G2.latent_dim
     raise TypeError(f"unsupported tail generator type {type(G2).__name__}")
 
 
@@ -340,49 +330,6 @@ def posterior_sgld(problem: InverseProblem, prior: GaussianMixturePrior,
         z0 = sample_prior(prior, 1, seed=np.random.default_rng(
             (cfg.seed, 1)).integers(2**63))[0]
     return run_langevin(potential, z0, cfg)
-
-
-def hot_start_reverse(z0, t: float, prior: GaussianMixturePrior,
-                      schedule: VpSchedule, cfg: LangevinConfig,
-                      levels: int = 32) -> np.ndarray:
-    """Noise z0 forward to time t, then anneal back with exact scores.
-
-    Forward: z_t = sqrt(alpha_bar) z0 + sqrt(1 - alpha_bar) eps (closed
-    form).  Reverse: Langevin targeting the noised prior on a geometric
-    grid of times from t down to 0, with the step size scaled to each
-    level's smallest component variance and cfg.steps split evenly across
-    levels (defaults match a ~300-evaluation budget).  t = 0 returns z0
-    unchanged; batched z0 of shape (..., p) runs independent repeats.
-    """
-    z0 = np.asarray(z0, dtype=float)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    if t == 0.0:
-        return z0.copy()
-    rng = np.random.default_rng(cfg.seed)
-    ab = schedule.alpha_bar(t)
-    z = math.sqrt(ab) * z0 + math.sqrt(1.0 - ab) * rng.standard_normal(z0.shape)
-
-    grid = np.concatenate([
-        np.geomspace(t, max(t * 1e-3, 1e-6), max(1, levels - 1)), [0.0]])
-    steps_per = max(1, round(cfg.steps / levels))
-    v_first = None
-    for t_i in grid:
-        noised = vp_noised(prior, float(t_i), schedule)
-        v_i = float(np.min(noised.variances))
-        if v_first is None:
-            v_first = v_i
-        eta_i = cfg.eta * v_i / v_first
-
-        def potential_grad(x, noised=noised):
-            logp, score = gmm_log_density_and_score(noised, x)
-            return -logp, -score
-
-        states, _, _, _ = _chain(potential_grad, z, eta_i,
-                                 math.sqrt(2.0 * eta_i / cfg.beta), steps_per,
-                                 steps_per, rng=rng)
-        z = states[-1]
-    return z
 
 
 def coupled_pair(potential_grad, z0_a, z0_b,

@@ -181,18 +181,27 @@ def test_tail_statistics_requires_late_records():
 
 
 def test_min_hessian_eig_matches_dense_eigensolver():
+    # one batch per n: off-axis points plus on-axis points at theta = 0
+    # and theta = pi; each row equals its single-point call
     rng = np.random.default_rng(SEED + 10)
     for n in (2, 3, 5):
         zs = rng.standard_normal(n)
         zs /= np.linalg.norm(zs)
+        points = [0.5 * zs, -0.7 * zs, -1.6 * zs]
         for _ in range(6):
             x = rng.standard_normal(n)
             x *= rng.uniform(0.3, 2.0) / np.linalg.norm(x)
             if np.linalg.norm(x - zs) < 0.05:
                 continue
+            points.append(x)
+        batch = diag.min_hessian_eig(np.array(points), zs, 2, n)
+        assert batch.shape == (len(points),)
+        for x, got in zip(points, batch):
+            one = diag.min_hessian_eig(x, zs, 2, n)
+            assert isinstance(one, float)
+            assert got == pytest.approx(one, rel=1e-12)
             H_fd = fd_hessian(lambda p: ls.ideal_gradient(p, zs, 2), x)
             want = float(np.linalg.eigvalsh(H_fd).min())
-            got = diag.min_hessian_eig(x, zs, 2, n)
             assert got == pytest.approx(want, abs=1e-5)
 
 

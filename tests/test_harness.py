@@ -111,6 +111,12 @@ _PRIOR = {"prior_means": [[0.0, 0.0]], "prior_variances": [1.0],
     ("wdc", {"seed": -1}, "seed"),
     ("posterior", {"prior_weights": [0.5], **_PRIOR}, "prior_weights"),
     ("posterior", {"prior_weights": [0.5, 0.5], **_PRIOR}, "prior_weights"),
+    ("posterior", {"prior_weights": [1.0], **_PRIOR, "y": [0.3]}, "y"),
+    ("posterior", {"prior_weights": [1.0], **_PRIOR,
+                   "g2": [[1.0, 0.0, 0.0]]}, "g2"),
+    ("posterior", {"prior_weights": [1.0], **_PRIOR, "g2": [[1.0, 0.0]]},
+     "y"),
+    ("theory-check", {"checks": ["c99"]}, "c99"),
 ])
 def test_cli_out_of_range_config_exits_2_naming_the_key(tmp_path, capsys,
                                                          mode, raw, key):
@@ -269,6 +275,23 @@ def test_cli_theory_report_writes_nan_statistic_as_null(tmp_path,
     assert report["checks"][0]["statistic"] is None
 
 
+def test_cli_theory_check_empty_list_runs_every_check(tmp_path, capsys,
+                                                     monkeypatch):
+    def stub(check_id):
+        return lambda seed: hchecks.CheckResult(
+            check_id=check_id, statistic=0.0, bound=1.0, ci_low=None,
+            ci_high=None, passed=True, detail="stub")
+
+    for check_id in hchecks.CHECK_IDS:
+        monkeypatch.setitem(hchecks._REGISTRY, check_id, stub(check_id))
+    cfg = _write_cfg(tmp_path, {"checks": []})
+    out = tmp_path / "out"
+    assert main(["theory-check", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "theory_report.json").read_text())
+    assert [r["check_id"] for r in report["checks"]] == list(hchecks.CHECK_IDS)
+
+
 def test_run_checks_rejects_unknown_id():
     with pytest.raises(KeyError, match="c99_missing"):
         hchecks.run_checks(["c99_missing"], seed=0)
@@ -317,23 +340,6 @@ def test_rerunning_a_config_reproduces_every_byte(tmp_path):
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-
-def test_inversion_output_is_thread_count_independent(tmp_path, monkeypatch):
-    raw = {"dims": [4, 16, 64], "radius": 3.0, "runs": 4, "steps": 30,
-           "mask_fraction": 0.05}
-    monkeypatch.delenv("LANGSCAPE_THREADS", raising=False)
-    serial = tmp_path / "serial"
-    cfg = validate_config("invert", dict(raw), out_dir=str(serial))
-    assert run_experiment(cfg) == 0
-    monkeypatch.setenv("LANGSCAPE_THREADS", "3")
-    threaded = tmp_path / "threaded"
-    cfg = validate_config("invert", dict(raw), out_dir=str(threaded))
-    assert run_experiment(cfg) == 0
-    assert (serial / "invert_runs.csv").read_bytes() \
-        == (threaded / "invert_runs.csv").read_bytes()
-    assert (serial / "result.json").read_bytes() \
-        == (threaded / "result.json").read_bytes()
 
 
 def test_posterior_mode_artifact_schema(tmp_path):

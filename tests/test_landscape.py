@@ -177,6 +177,8 @@ def test_gradient_zero_at_origin_and_minimizer():
 
 
 def test_hessian_vector_product_matches_fd_hessian():
+    # one batch per draw: an off-axis point and two on-axis points at
+    # theta = 0 and theta = pi, each applied to every basis vector
     rng = np.random.default_rng(SEED + 3)
     for _ in range(25):
         n = int(rng.integers(2, 7))
@@ -187,13 +189,19 @@ def test_hessian_vector_product_matches_fd_hessian():
         x *= rng.uniform(0.3, 2.0) / np.linalg.norm(x)
         if np.linalg.norm(x - zs) < 0.05:
             continue
-        H_fd = fd_hessian(lambda p: ls.ideal_gradient(p, zs, d), x)
-        H = np.column_stack([ls.hessian_vector_product(x, zs, d, e)
-                             for e in np.eye(n)])
-        assert np.allclose(H, H.T, atol=1e-11)
-        assert np.max(np.abs(H - H_fd)) < 1e-5
-        lap = ls.ideal_hessian(x, zs, d, n)[4]
-        assert lap == pytest.approx(float(np.trace(H)), abs=1e-10)
+        points = (x, 0.6 * zs, -1.3 * zs)
+        X = np.repeat(np.array(points), n, axis=0)
+        V = np.tile(np.eye(n), (len(points), 1))
+        HV = ls.hessian_vector_product(X, zs, d, V)
+        for row_x, v, hv in zip(X, V, HV):
+            one = ls.hessian_vector_product(row_x, zs, d, v)
+            assert np.linalg.norm(hv - one) <= 1e-12 * np.linalg.norm(one)
+        for p, H in zip(points, HV.reshape(len(points), n, n)):
+            H_fd = fd_hessian(lambda q: ls.ideal_gradient(q, zs, d), p)
+            assert np.allclose(H, H.T, atol=1e-11)
+            assert np.max(np.abs(H - H_fd)) < 1e-5
+            lap = ls.ideal_hessian(p, zs, d, n)[4]
+            assert lap == pytest.approx(float(np.trace(H)), abs=1e-10)
 
 
 def test_hessian_identity_at_minimizer():
@@ -349,27 +357,6 @@ def test_generator_functional_landmarks():
         _, _, script0 = ls.potential(np.zeros(n), zs, 2, params)
         assert script0 == pytest.approx(-4.0 * n * params.xi
                                         / (params.r0 * params.r0), rel=1e-12)
-
-
-def test_polar_frame_roundtrip():
-    rng = np.random.default_rng(SEED + 9)
-    zs = np.array([3.0, 0.0, 0.0])
-    zhat = zs / np.linalg.norm(zs)
-    for _ in range(50):
-        x = rng.standard_normal(3) * 2.0
-        fr = ls.polar_frame(x, zs)
-        assert np.allclose(fr.r * fr.unit_radial, x, atol=1e-12)
-        assert fr.theta == pytest.approx(
-            math.acos(np.clip(x @ zhat / np.linalg.norm(x), -1, 1)),
-            abs=1e-10)
-        if fr.tangential_defined:
-            t = fr.unit_tangential
-            assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-12)
-            assert abs(t @ fr.unit_radial) < 1e-10
-            # zhat decomposes in the (radial, tangential) plane
-            rebuilt = math.cos(fr.theta) * fr.unit_radial \
-                - math.sin(fr.theta) * t
-            assert np.allclose(rebuilt, zhat, atol=1e-10)
 
 
 def test_modified_params_validation():

@@ -92,51 +92,6 @@ def test_sample_prior_moments():
     assert np.allclose((samples ** 2).mean(axis=0), second, atol=0.05)
 
 
-def test_vp_schedule_shape():
-    sched = priors.VpSchedule()
-    assert sched.alpha_bar(0.0) == 1.0
-    ts = np.linspace(0.0, 1.0, 101)
-    vals = np.array([sched.alpha_bar(float(t)) for t in ts])
-    assert np.all(np.diff(vals) < 0.0)
-    assert sched.alpha_bar(1.0) == pytest.approx(
-        math.exp(-0.1 - 0.5 * (20.0 - 0.1)), rel=1e-12)
-    with pytest.raises(ValueError):
-        sched.alpha_bar(-0.01)
-    with pytest.raises(ValueError):
-        sched.alpha_bar(1.01)
-
-
-def test_vp_noised_prior_matches_sampling():
-    # the time-t noised prior should match pushing samples through the
-    # forward noising map z_t = sqrt(abar) z0 + sqrt(1-abar) eps
-    prior = _two_component()
-    sched = priors.VpSchedule()
-    t = 0.35
-    abar = sched.alpha_bar(t)
-    noised = priors.vp_noised(prior, t, sched)
-    assert np.allclose(noised.means, math.sqrt(abar) * prior.means)
-    assert np.allclose(noised.variances,
-                       abar * prior.variances + (1.0 - abar))
-    rng = np.random.default_rng(SEED + 4)
-    z0 = priors.sample_prior(prior, 150_000, seed=SEED + 5)
-    zt = math.sqrt(abar) * z0 + math.sqrt(1 - abar) \
-        * rng.standard_normal(z0.shape)
-    grid = np.column_stack([np.linspace(-4, 5, 12), np.linspace(-3, 3, 12)])
-    logp, _ = priors.gmm_log_density_and_score(noised, grid)
-    # kernel density check at a few grid points
-    h = 0.25
-    for p in grid:
-        kde = np.mean(np.exp(-np.sum((zt - p) ** 2, axis=1) / (2 * h * h))
-                      / (2 * math.pi * h * h))
-        # the Gaussian KDE of the pushed-forward samples estimates the
-        # noised density convolved with the kernel: widen variances by h^2
-        widened = priors.GaussianMixturePrior(
-            weights=noised.weights, means=noised.means,
-            variances=noised.variances + h * h)
-        lw, _ = priors.gmm_log_density_and_score(widened, p)
-        assert kde == pytest.approx(math.exp(lw), rel=0.15, abs=2e-3)
-
-
 def test_prior_validation():
     with pytest.raises(ValueError):
         priors.GaussianMixturePrior(weights=np.array([0.5, 0.4]),

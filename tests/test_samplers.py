@@ -311,45 +311,25 @@ def test_posterior_sgld_with_relu_tail():
     assert np.all(np.isfinite(traj.states))
 
 
-# ---------------------------------------------------------------------------
-# annealed reverse initialization
-
-
-def test_hot_start_t_zero_is_copy():
-    prior = priors.GaussianMixturePrior.standard(3)
-    sched = priors.VpSchedule()
-    cfg = smp.LangevinConfig(eta=0.05, beta=1.0, steps=320, seed=SEED + 23)
-    z0 = np.array([0.3, -0.7, 1.1])
-    out = smp.hot_start_reverse(z0, 0.0, prior, sched, cfg)
-    assert np.array_equal(out, z0)
-    assert out is not z0
-
-
-def test_hot_start_full_noise_returns_prior_sample():
-    # with alpha_bar(1) ~ 1e-6 the start is pure noise; after annealing
-    # the batch should match the prior's moments
-    prior = priors.GaussianMixturePrior.standard(2)
-    sched = priors.VpSchedule(beta_min=0.1, beta_max=28.0)
-    assert sched.alpha_bar(1.0) < 1e-6
-    cfg = smp.LangevinConfig(eta=0.05, beta=1.0, steps=320, seed=SEED + 24)
-    z0 = np.zeros((4000, 2))
-    out = smp.hot_start_reverse(z0, 1.0, prior, sched, cfg)
-    assert out.shape == z0.shape
-    assert abs(float(out.mean())) < 0.05
-    assert float((out * out).mean()) == pytest.approx(1.0, abs=0.1)
-
-
-def test_hot_start_small_t_short_anneal_stays_near_start():
-    # with light noising and a small step budget the annealed population
-    # remains centered near the start; long budgets would relax it toward
-    # the prior, which is the intended behavior, so keep eta * steps small
-    prior = priors.GaussianMixturePrior.standard(2)
-    sched = priors.VpSchedule()
-    cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=8, seed=SEED + 25)
-    z0 = np.tile(np.array([1.5, -0.5]), (500, 1))
-    out = smp.hot_start_reverse(z0, 0.02, prior, sched, cfg, levels=4)
-    assert np.linalg.norm(out.mean(axis=0) - z0[0]) < 0.3
-    assert float(out.std(axis=0).max()) < 0.5
+def test_relu_tail_pullback_matches_finite_differences():
+    # the intermediate-layer potential's tail: pullback(w, masks, v) is the
+    # gradient of v . apply(w), checked where no preactivation changes sign
+    G = gen.build_generator([3, 12, 8], seed=SEED + 21)
+    apply, pullback, p = smp._tail_map(G, 3)
+    assert p == 3
+    rng = np.random.default_rng(SEED + 26)
+    h = 1e-6
+    for _ in range(20):
+        w = rng.standard_normal(3)
+        v = rng.standard_normal(8)
+        _, masks = apply(w)
+        fd = np.empty(3)
+        for i, e in enumerate(h * np.eye(3)):
+            (up, m_up), (down, m_down) = apply(w + e), apply(w - e)
+            for m in (m_up, m_down):
+                assert all(np.array_equal(a, b) for a, b in zip(m, masks))
+            fd[i] = v @ (up - down) / (2 * h)
+        assert np.allclose(pullback(w, masks, v), fd, rtol=1e-7, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
