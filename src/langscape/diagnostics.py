@@ -17,7 +17,7 @@ import numpy as np
 
 from .landscape import ModifiedLossParams, ideal_hessian, modified_loss, \
     potential, theta_chain
-from .samplers import LangevinConfig, Trajectory
+from .samplers import EnsembleRun, LangevinConfig
 
 __all__ = [
     "EmpiricalDistribution",
@@ -51,14 +51,6 @@ class EmpiricalDistribution:
         if s.shape[0] < 1 or not np.all(np.isfinite(s)):
             raise ValueError("samples must be a nonempty finite matrix")
         object.__setattr__(self, "samples", s)
-
-    @property
-    def count(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
 
 
 @dataclass(frozen=True)
@@ -234,16 +226,16 @@ def reference_grid_sampler(d: int, beta: float, n: int, grid: int,
 # chain diagnostics
 
 
-def hitting_time(traj: Trajectory, region: RegionSpec):
-    """Chain step of the first recorded state inside the ball, else None."""
-    dist = np.linalg.norm(traj.states - region.center, axis=-1)
-    hits = np.nonzero(dist <= region.radius)[0]
-    if len(hits) == 0:
-        return None
-    return int(traj.step_indices[hits[0]])
+def hitting_time(run: EnsembleRun, region: RegionSpec) -> np.ndarray:
+    """Per chain, the step of its first recorded state inside the ball
+    (-1 for a chain that never enters)."""
+    inside = np.linalg.norm(run.states - region.center,
+                            axis=-1) <= region.radius
+    return np.where(inside.any(axis=0),
+                    run.step_indices[np.argmax(inside, axis=0)], -1)
 
 
-def tail_statistics(trajs, beta: float, eta: float, A: float,
+def tail_statistics(run: EnsembleRun, beta: float, eta: float, A: float,
                     a: float = 0.2, norm_const: float = 10.0) -> TailReport:
     """Tail frequencies of the chain norm against both closed-form bounds.
 
@@ -254,27 +246,21 @@ def tail_statistics(trajs, beta: float, eta: float, A: float,
     """
     t_min = math.ceil(3.0 / eta)
     threshold = 0.9 * A - a
-    escape = 0
-    exceed = 0
-    total_records = 0
-    for traj in trajs:
-        norms = np.linalg.norm(traj.states, axis=-1)
-        late = traj.step_indices >= t_min
-        if not np.any(late):
-            raise ValueError(
-                f"trajectory has no recorded step >= 3/eta = {t_min}")
-        escape += int(np.any(norms[late] < threshold))
-        n = traj.states.shape[-1]
-        growth = ((1.0 - eta / 2.0) ** traj.step_indices * norms[0]
-                  + norm_const + norm_const * math.sqrt(n / beta))
-        exceed += int(np.sum(norms >= growth))
-        total_records += len(norms)
-    lo, hi = wilson_interval(escape, len(trajs))
-    return TailReport(escape_frequency=escape / len(trajs),
+    late = run.step_indices >= t_min
+    if not np.any(late):
+        raise ValueError(f"run has no recorded step >= 3/eta = {t_min}")
+    norms = np.linalg.norm(run.states, axis=-1)        # (records, chains)
+    chains, n = run.states.shape[1:]
+    escape = int(np.count_nonzero(np.any(norms[late] < threshold, axis=0)))
+    growth = ((1.0 - eta / 2.0) ** run.step_indices[:, None] * norms[0]
+              + norm_const + norm_const * math.sqrt(n / beta))
+    lo, hi = wilson_interval(escape, chains)
+    return TailReport(escape_frequency=escape / chains,
                       escape_bound=math.exp(-beta * a * a / 4.0),
                       escape_ci_low=lo, escape_ci_high=hi,
-                      norm_exceed_frequency=exceed / total_records,
-                      chains=len(trajs), threshold=threshold, t_min=t_min)
+                      norm_exceed_frequency=int(np.sum(norms >= growth))
+                      / norms.size,
+                      chains=chains, threshold=threshold, t_min=t_min)
 
 
 def min_hessian_eig(x, z_star, d: int, n: int):

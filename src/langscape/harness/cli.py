@@ -41,14 +41,10 @@ def main(argv=None) -> int:
         out_dir = args.out if args.out is not None else f"runs/{args.mode}"
         config = validate_config(args.mode, raw, out_dir=out_dir,
                                  seed_override=args.seed)
+        return run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-    try:
-        return run_experiment(config)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -42,8 +42,9 @@ class ConfigError(ValueError):
 
 
 def _num(v):
+    """A finite float or an integer within the float range (exact test)."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(v)
+        and abs(v) <= sys.float_info.max
 
 
 def _int(v):

@@ -27,7 +27,7 @@ from .. import landscape as ls
 from .. import priors
 from .. import samplers as smp
 from . import checks
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 
 __all__ = ["run_experiment"]
 
@@ -179,7 +179,11 @@ def _rric_rows(p: dict, seed: int) -> list[tuple]:
             A = gen.gaussian_map(m, p["dims"][-1],
                                  seed=int(rng.integers(2**63)))
             xs = rng.standard_normal((4, p["dims"][0]))
-            devs.append(gen.rric_deviation(A, G, *xs))
+            try:
+                devs.append(gen.rric_deviation(A, G, *xs))
+            except ValueError as exc:   # G maps two latents to one point
+                raise ConfigError(f"config key 'dims' {p['dims']!r} is too "
+                                  f"narrow: {exc}") from exc
         rows.append(_deviation_row(m, devs))
     return rows
 
@@ -333,10 +337,11 @@ def _prior(p: dict) -> priors.GaussianMixturePrior:
 
 
 def _posterior_chains(p: dict, seed: int):
-    """SGLD chains on the posterior; chain c is seeded seed + 101 + c.
+    """SGLD chains on the posterior in one batch; chain c is seeded
+    seed + 101 + c.
 
-    Returns (the kept second half of each chain's records, sorted ids of
-    chains that diverged).
+    Returns (the kept second half of each chain's records before any
+    divergence, sorted ids of chains that diverged).
     """
     prior = _prior(p)
     y = np.asarray(p["y"], dtype=float)
@@ -345,17 +350,15 @@ def _posterior_chains(p: dict, seed: int):
     problem = gen.InverseProblem(
         generator=None, map=gen.MeasurementMap(matrix=None, m=len(y)),
         y=y, noise_sigma=p["sigma"])
-    kept, aborted = [], []
-    for c in range(p["chains"]):
-        lcfg = smp.LangevinConfig(eta=p["eta"], beta=1.0, steps=p["steps"],
-                                  seed=seed + 101 + c,
-                                  record_every=p["record_every"])
-        traj = smp.posterior_sgld(problem, prior, tail, lcfg,
-                                  likelihood_weight=p["likelihood_weight"])
-        if traj.aborted_at is not None:
-            aborted.append(c)
-        kept.append(traj.states[len(traj.states) // 2:])
-    return kept, aborted
+    lcfg = smp.LangevinConfig(eta=p["eta"], beta=1.0, steps=p["steps"],
+                              seed=seed + 101, record_every=p["record_every"])
+    run = smp.posterior_sgld(problem, prior, tail, lcfg, chains=p["chains"],
+                             likelihood_weight=p["likelihood_weight"])
+    ends = np.where(run.aborted_at >= 0,
+                    np.searchsorted(run.step_indices, run.aborted_at),
+                    len(run.step_indices))
+    kept = [run.states[end // 2:end, c] for c, end in enumerate(ends)]
+    return kept, np.nonzero(run.aborted_at >= 0)[0].tolist()
 
 
 def _run_posterior(cfg, out: Path):

@@ -2,12 +2,13 @@
 
 One update rule underlies everything here: z <- z - eta grad U(z)
 + sqrt(2 eta / beta) u with u ~ N(0, I), the unadjusted Langevin chain
-targeting exp(-beta U).  One loop (_chain) runs every variant: single
-chains and ensembles, gradient descent (beta = inf), l1-projected
-intermediate-layer descent (the classical sparse-deviations baseline),
-posterior SGLD on an intermediate latent with an exact mixture score,
-and synchronously coupled chain pairs sharing their noise.  A chain whose
-potential or gradient turns non-finite stops at its last finite state.
+targeting exp(-beta U).  One loop (_chain) runs every variant on a
+batch of chains (a single chain is a batch of one): Langevin ensembles,
+gradient descent (beta = inf), l1-projected intermediate-layer descent
+(the classical sparse-deviations baseline), posterior SGLD on an
+intermediate latent with an exact mixture score, and synchronously
+coupled chain pairs sharing their noise.  A chain whose potential or
+gradient turns non-finite stops at its last finite state.
 
 Potential oracles are callables z -> (U(z), grad U(z)), read-only and
 reentrant; every sampler is a deterministic function of (arguments, seed).
@@ -30,7 +31,6 @@ __all__ = [
     "Trajectory",
     "EnsembleRun",
     "L1ProjectionSpec",
-    "run_langevin",
     "run_langevin_ensemble",
     "run_gd",
     "project_l1",
@@ -110,11 +110,6 @@ class EnsembleRun:
             raise KeyError(f"step {step} was not recorded")
         return self.states[hits[0]]
 
-    def chain(self, c: int) -> Trajectory:
-        """View one chain's records as a Trajectory."""
-        return _trajectory(self.states[:, c], self.losses[:, c],
-                           self.step_indices, self.aborted_at[c])
-
 
 @dataclass(frozen=True)
 class L1ProjectionSpec:
@@ -139,14 +134,15 @@ def _finite_rows(u, g) -> np.ndarray:
     return np.isfinite(u) & np.isfinite(g).all(axis=-1)
 
 
-def _chain(potential_grad, z0, eta, sigma, steps, record_every, rng=None,
-           project=None, noise_shape=None):
+def _chain(potential_grad, z0, eta, sigma, steps, record_every, noise=None,
+           project=None):
     """The one sampler loop: z <- project(z - eta grad U(z) + sigma u).
 
     Every leading index of z0 is a chain and the oracle sees the whole
-    array.  sigma == 0 draws no noise; noise_shape (default: the shape of
-    z0) lets chains share one draw.  Records step 0, every record_every-th
-    step and the last step.
+    array.  noise() returns the step's standard-normal draw u, which
+    broadcasts against z0 (so chains may share one draw); it is unused
+    when sigma == 0.  Records step 0, every record_every-th step and the
+    last step.
 
     A chain whose potential or gradient turns non-finite at step k stops
     at its state of step k - 1 and aborted records k (-1 for a chain that
@@ -161,11 +157,10 @@ def _chain(potential_grad, z0, eta, sigma, steps, record_every, rng=None,
     aborted = np.where(live, -1, 0)
     g = np.where(live[..., None], g, 0.0)
     halted = not live.all()
-    shape = z.shape if noise_shape is None else noise_shape
     for step in range(1, steps + 1 if live.any() else 1):
         z_next = z - eta * g
         if sigma:
-            z_next = z_next + sigma * rng.standard_normal(shape)
+            z_next = z_next + sigma * noise()
         if project is not None:
             z_next = project(z_next)
         if halted:
@@ -190,23 +185,13 @@ def _chain(potential_grad, z0, eta, sigma, steps, record_every, rng=None,
             aborted)
 
 
-def run_langevin(potential_grad, z0, cfg: LangevinConfig) -> Trajectory:
-    """Unadjusted Langevin chain z <- z - eta grad U + sqrt(2 eta/beta) u.
-
-    Records every record_every steps (always step 0 and the final step).
-    A non-finite potential or gradient aborts the chain; the trajectory
-    then ends at the last finite state and aborted_at gives the step.
-    """
-    return _trajectory(*_chain(potential_grad, z0, cfg.eta, cfg.sigma_step,
-                               cfg.steps, cfg.record_every,
-                               rng=np.random.default_rng(cfg.seed)))
-
-
 def run_langevin_ensemble(potential_grad, z0: np.ndarray,
                           cfg: LangevinConfig) -> EnsembleRun:
     """Advance (chains, dim) independent Langevin chains in lockstep.
 
-    The potential oracle must accept batched states.  One RNG stream
+    z <- z - eta grad U + sqrt(2 eta / beta) u, recorded every
+    record_every steps (always step 0 and the final step).  The
+    potential oracle must accept batched states.  One RNG stream
     drives all chains (a (chains, dim) draw per step), so the run is
     deterministic for a fixed seed but chains are not individually
     seed-stable under ensemble resizing.  A chain that turns non-finite
@@ -214,18 +199,18 @@ def run_langevin_ensemble(potential_grad, z0: np.ndarray,
     """
     if np.ndim(z0) != 2:
         raise ValueError("ensemble start must have shape (chains, dim)")
-    states, losses, idx, aborted = _chain(
+    rng = np.random.default_rng(cfg.seed)
+    return EnsembleRun(*_chain(
         potential_grad, z0, cfg.eta, cfg.sigma_step, cfg.steps,
-        cfg.record_every, rng=np.random.default_rng(cfg.seed))
-    return EnsembleRun(states=states, losses=losses, step_indices=idx,
-                       aborted_at=aborted)
+        cfg.record_every, noise=lambda: rng.standard_normal(np.shape(z0))))
 
 
 def run_gd(potential_grad, z0, eta: float, steps: int,
            record_every: int = 1) -> Trajectory:
     """Gradient descent z <- z - eta grad U(z), the beta = inf chain.
 
-    Stops on a non-finite potential or gradient like run_langevin.
+    A non-finite potential or gradient stops the descent; the trajectory
+    then ends at the last finite state and aborted_at gives the step.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -283,36 +268,47 @@ def run_ilo_baseline(problem: InverseProblem, split_layer: int, radius: float,
 
 
 def _tail_map(G2, p: int):
-    """Normalize the tail map to (apply, pullback, input_dim) closures.
+    """Normalize the tail map to (apply, pullback, input_dim, output_dim).
 
-    G2 may be None (identity), a matrix, or a ReluGenerator.
+    G2 may be None (identity), a matrix, or a ReluGenerator.  A matrix
+    acts on each row as a (1, n) product, bit for bit the 1-D product of
+    that row alone (a batched W @ M.T is not).
     """
     if G2 is None:
-        return (lambda w: (w, None)), (lambda w, aux, v: v), p
+        return (lambda w: (w, None)), (lambda w, aux, v: v), p, p
     if isinstance(G2, np.ndarray):
         M = np.asarray(G2, dtype=float)
-        return (lambda w: (w @ M.T, None)), (lambda w, aux, v: v @ M), M.shape[1]
+        return (lambda w: ((w[..., None, :] @ M.T)[..., 0, :], None)), \
+            (lambda w, aux, v: (v[..., None, :] @ M)[..., 0, :]), \
+            M.shape[1], M.shape[0]
     if isinstance(G2, ReluGenerator):
         return (lambda w: forward(G2, w)), \
-            (lambda w, masks, v: _backprop(G2, masks, v)), G2.latent_dim
+            (lambda w, masks, v: _backprop(G2, masks, v)), \
+            G2.latent_dim, G2.output_dim
     raise TypeError(f"unsupported tail generator type {type(G2).__name__}")
 
 
 def posterior_sgld(problem: InverseProblem, prior: GaussianMixturePrior,
-                   G2, cfg: LangevinConfig, likelihood_weight: float = 1.0,
-                   z0=None) -> Trajectory:
+                   G2, cfg: LangevinConfig, chains: int = 1,
+                   likelihood_weight: float = 1.0) -> EnsembleRun:
     """Langevin on the posterior potential of an intermediate latent.
 
     U(w) = lw ||A G2(w) - y||^2 / (2 sigma^2) - log p(w), targeting the
     posterior exp(-U) at beta = 1.  G2 is None (identity), a linear map,
-    or a ReluGenerator; lw = 0 reduces to sampling the prior.  The chain
-    starts at z0 or, by default, at a prior draw seeded from cfg.seed.
+    or a ReluGenerator; lw = 0 reduces to sampling the prior.  The chains
+    run as one batch.  Chain c is seeded s = cfg.seed + c: it starts at a
+    prior draw seeded from s and takes its noise from its own stream, so
+    it does not depend on how many chains run.
     """
     if problem.noise_sigma <= 0:
         raise ValueError("posterior sampling requires noise_sigma > 0")
-    apply, pullback, p = _tail_map(G2, prior.dim)
+    apply, pullback, p, out_dim = _tail_map(G2, prior.dim)
     if p != prior.dim:
         raise ValueError("tail generator input dim differs from prior dim")
+    A = problem.map.matrix
+    if out_dim != (problem.map.m if A is None else A.shape[1]):
+        raise ValueError(f"tail output dim {out_dim} differs from the "
+                         f"measurement map's input dim")
     inv_s2 = likelihood_weight / (problem.noise_sigma ** 2)
 
     def potential(w):
@@ -326,29 +322,31 @@ def posterior_sgld(problem: InverseProblem, prior: GaussianMixturePrior,
             - score
         return u, g
 
-    if z0 is None:
-        z0 = sample_prior(prior, 1, seed=np.random.default_rng(
-            (cfg.seed, 1)).integers(2**63))[0]
-    return run_langevin(potential, z0, cfg)
+    seeds = range(cfg.seed, cfg.seed + chains)
+    z0 = np.concatenate([sample_prior(prior, 1, seed=np.random.default_rng(
+        (s, 1)).integers(2**63)) for s in seeds])
+    rngs = [np.random.default_rng(s) for s in seeds]
+    return EnsembleRun(*_chain(
+        potential, z0, cfg.eta, cfg.sigma_step, cfg.steps, cfg.record_every,
+        noise=lambda: np.stack([r.standard_normal(p) for r in rngs])))
 
 
 def coupled_pair(potential_grad, z0_a, z0_b,
-                 cfg: LangevinConfig) -> tuple[Trajectory, Trajectory]:
+                 cfg: LangevinConfig) -> EnsembleRun:
     """Two Langevin chains driven by identical Gaussian increments.
 
     The noise cancels in the difference, so the pair measures the pure
     gradient-map contraction between the chains.  Equal starts give
-    bitwise-identical trajectories.  The oracle sees both chains stacked
-    as one (2, dim) batch; a chain that turns non-finite stops at its last
-    finite state while the other runs on.
+    bitwise-identical chains.  Returns a 2-chain run (chain 0 starts at
+    z0_a); a chain that turns non-finite stops at its last finite state
+    while the other runs on.
     """
     za = np.asarray(z0_a, dtype=float)
     zb = np.asarray(z0_b, dtype=float)
     if za.shape != zb.shape:
         raise ValueError("coupled starts must share a shape")
-    states, losses, idx, aborted = _chain(
+    rng = np.random.default_rng(cfg.seed)
+    return EnsembleRun(*_chain(
         potential_grad, np.stack([za, zb]), cfg.eta, cfg.sigma_step,
-        cfg.steps, cfg.record_every, rng=np.random.default_rng(cfg.seed),
-        noise_shape=za.shape)
-    return tuple(_trajectory(states[:, c], losses[:, c], idx, aborted[c])
-                 for c in range(2))
+        cfg.steps, cfg.record_every,
+        noise=lambda: rng.standard_normal(za.shape)))

@@ -128,20 +128,23 @@ def test_wilson_interval_against_scipy():
         assert hi == pytest.approx(ref.high, abs=1e-10)
 
 
-def _const_traj(states):
+def _run(states):
+    """An EnsembleRun over (records, chains, dim) states, one per step."""
     states = np.asarray(states, dtype=float)
-    return smp.Trajectory(states=states,
-                          losses=np.zeros(len(states)),
-                          step_indices=np.arange(len(states)))
+    records, chains = states.shape[:2]
+    return smp.EnsembleRun(states=states, losses=np.zeros((records, chains)),
+                           step_indices=np.arange(records),
+                           aborted_at=np.full(chains, -1))
 
 
 def test_hitting_time_first_entry():
     states = np.array([[2.0, 0.0], [1.5, 0.0], [1.05, 0.0], [1.0, 0.0]])
-    traj = _const_traj(states)
+    # chain 1 runs the same path backwards, so it starts inside
+    run = _run(np.stack([states, states[::-1]], axis=1))
     region = diag.RegionSpec(center=np.array([1.0, 0.0]), radius=0.1)
-    assert diag.hitting_time(traj, region) == 2
+    assert list(diag.hitting_time(run, region)) == [2, 0]
     far = diag.RegionSpec(center=np.array([-5.0, 0.0]), radius=0.1)
-    assert diag.hitting_time(traj, far) is None
+    assert list(diag.hitting_time(run, far)) == [-1, -1]
 
 
 def test_tail_statistics_counts_escapes():
@@ -150,13 +153,10 @@ def test_tail_statistics_counts_escapes():
     thresh = 0.9 * A - 0.2
     t_min = math.ceil(3.0 / eta)
     steps = t_min + 5
-    trajs = []
-    for norm in (0.95, 0.9, 0.5, 0.3, 0.8):
-        states = np.tile(np.array([norm, 0.0]), (steps + 1, 1))
-        trajs.append(smp.Trajectory(
-            states=states, losses=np.zeros(steps + 1),
-            step_indices=np.arange(steps + 1)))
-    rep = diag.tail_statistics(trajs, beta=beta, eta=eta, A=A, a=0.2)
+    norms = np.array([0.95, 0.9, 0.5, 0.3, 0.8])
+    states = np.zeros((steps + 1, len(norms), 2))
+    states[..., 0] = norms
+    rep = diag.tail_statistics(_run(states), beta=beta, eta=eta, A=A, a=0.2)
     assert rep.chains == 5
     assert rep.t_min == t_min
     assert rep.escape_frequency == pytest.approx(2.0 / 5.0)
@@ -169,11 +169,9 @@ def test_tail_statistics_counts_escapes():
 
 
 def test_tail_statistics_requires_late_records():
-    states = np.zeros((3, 2))
-    traj = smp.Trajectory(states=states, losses=np.zeros(3),
-                          step_indices=np.arange(3))
     with pytest.raises(ValueError):
-        diag.tail_statistics([traj], beta=1.0, eta=0.1, A=1.0)
+        diag.tail_statistics(_run(np.zeros((3, 1, 2))), beta=1.0, eta=0.1,
+                             A=1.0)
 
 
 # ---------------------------------------------------------------------------

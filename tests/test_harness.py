@@ -117,6 +117,7 @@ _PRIOR = {"prior_means": [[0.0, 0.0]], "prior_variances": [1.0],
     ("posterior", {"prior_weights": [1.0], **_PRIOR, "g2": [[1.0, 0.0]]},
      "y"),
     ("theory-check", {"checks": ["c99"]}, "c99"),
+    ("mix", {"eta": 10**400}, "eta"),       # valid JSON, beyond any float
 ])
 def test_cli_out_of_range_config_exits_2_naming_the_key(tmp_path, capsys,
                                                          mode, raw, key):
@@ -125,6 +126,19 @@ def test_cli_out_of_range_config_exits_2_naming_the_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"'{key}'" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("raw", [
+    {"dims": [1, 1], "m_values": [1], "tuples": 5},
+    {"dims": [2, 2], "m_values": [1, 4], "tuples": 200},
+])
+def test_cli_rric_zero_range_difference_exits_2_naming_dims(tmp_path, capsys,
+                                                             raw):
+    # a generator this narrow maps two latents of a tuple to one point
+    cfg = _write_cfg(tmp_path, raw)
+    assert main(["rric", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'dims'" in err
 
 
 # ---------------------------------------------------------------------------

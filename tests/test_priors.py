@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from langscape import priors
 
@@ -101,3 +102,30 @@ def test_prior_validation():
         priors.GaussianMixturePrior(weights=np.array([1.0]),
                                     means=np.zeros((1, 2)),
                                     variances=np.array([-1.0]))
+
+
+def test_log_density_and_score_match_scipy_logsumexp_bit_for_bit(monkeypatch):
+    # oracle: the same formula with scipy's logsumexp in place of the
+    # private numpy copy of its algorithm
+    rng = np.random.default_rng(SEED + 3)
+    tie = priors.GaussianMixturePrior(      # two equal components: a tie
+        weights=np.array([0.5, 0.5]), means=np.ones((2, 3)),
+        variances=np.array([0.7, 0.7]))
+    cases = [(_two_component(), rng.standard_normal((500, 2)) * 3.0),
+             (_two_component(), rng.standard_normal(2)),
+             (priors.GaussianMixturePrior.standard(4),
+              rng.standard_normal((200, 4))),
+             (priors.GaussianMixturePrior(
+                 weights=np.full(5, 0.2), means=rng.standard_normal((5, 8)),
+                 variances=rng.uniform(0.2, 2.0, 5)),
+              rng.standard_normal((3, 40, 8)) * 2.0),
+             (tie, rng.standard_normal((100, 3))),
+             (tie, np.ones(3))]
+    ours = [priors.gmm_log_density_and_score(pr, z) for pr, z in cases]
+    monkeypatch.setattr(priors, "_logsumexp",
+                        lambda a: logsumexp(a, axis=-1))
+    for (prior, z), (logp, score) in zip(cases, ours):
+        ref_logp, ref_score = priors.gmm_log_density_and_score(prior, z)
+        assert type(logp) is type(ref_logp)
+        assert np.asarray(logp).tobytes() == np.asarray(ref_logp).tobytes()
+        assert score.tobytes() == ref_score.tobytes()

@@ -44,13 +44,13 @@ def test_trajectory_recording_grid():
     pg = _quad(np.ones(2))
     cfg = smp.LangevinConfig(eta=0.01, beta=5.0, steps=25, seed=SEED,
                              record_every=10)
-    traj = smp.run_langevin(pg, np.array([1.0, -1.0]), cfg)
+    run = smp.run_langevin_ensemble(pg, np.array([[1.0, -1.0]]), cfg)
     # step 0 and the final step are always recorded
-    assert list(traj.step_indices) == [0, 10, 20, 25]
-    assert traj.states.shape == (4, 2)
-    assert traj.losses.shape == (4,)
-    assert np.array_equal(traj.final_state, traj.states[-1])
-    assert traj.aborted_at is None
+    assert list(run.step_indices) == [0, 10, 20, 25]
+    assert run.states.shape == (4, 1, 2)
+    assert run.losses.shape == (4, 1)
+    assert np.array_equal(run.snapshot(25), run.states[-1])
+    assert list(run.aborted_at) == [-1]
 
 
 def test_langevin_stationary_variance_matches_ar1_oracle():
@@ -62,8 +62,8 @@ def test_langevin_stationary_variance_matches_ar1_oracle():
     pg = _quad(np.ones(8))
     cfg = smp.LangevinConfig(eta=eta, beta=beta, steps=60_000, seed=SEED + 1,
                              record_every=5)
-    traj = smp.run_langevin(pg, np.zeros(8), cfg)
-    tail = traj.states[len(traj.states) // 2:]
+    run = smp.run_langevin_ensemble(pg, np.zeros((1, 8)), cfg)
+    tail = run.states[len(run.states) // 2:, 0]
     pooled_var = float(np.mean(tail * tail))    # mean is 0 by symmetry
     assert pooled_var == pytest.approx(AR1_VAR, rel=0.05)
 
@@ -75,14 +75,23 @@ def test_langevin_zero_temperature_limit_is_gd():
     z0 = np.array([1.0, 1.0])
     cfg = smp.LangevinConfig(eta=0.1, beta=1e18, steps=50, seed=SEED + 2,
                              record_every=1)
-    traj = smp.run_langevin(pg, z0, cfg)
+    run = smp.run_langevin_ensemble(pg, z0[None], cfg)
     exact = z0 * (1.0 - 0.1 * a) ** 50
-    assert np.allclose(traj.final_state, exact, atol=1e-7)
+    assert np.allclose(run.states[-1, 0], exact, atol=1e-7)
+
+
+def _chains(run):
+    """(states, step_indices, aborted_at) of every chain of a run."""
+    if isinstance(run, smp.Trajectory):
+        return [(run.states, run.step_indices, run.aborted_at)]
+    return [(run.states[:, c], run.step_indices, run.aborted_at[c])
+            for c in range(run.states.shape[1])]
 
 
 _DIVERGING = {
-    "run_langevin": lambda pg, z0, cfg: [smp.run_langevin(pg, z0, cfg)],
-    "run_gd": lambda pg, z0, cfg: [smp.run_gd(pg, z0, cfg.eta, cfg.steps)],
+    "run_langevin_ensemble": lambda pg, z0, cfg: smp.run_langevin_ensemble(
+        pg, z0[None], cfg),
+    "run_gd": lambda pg, z0, cfg: smp.run_gd(pg, z0, cfg.eta, cfg.steps),
     "coupled_pair": lambda pg, z0, cfg: smp.coupled_pair(pg, z0, -z0, cfg),
 }
 
@@ -94,13 +103,13 @@ def test_langevin_abort_on_divergence(run):
     cfg = smp.LangevinConfig(eta=1.0, beta=1.0, steps=400, seed=SEED + 3,
                              record_every=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        trajs = run(pg, np.array([1.0]), cfg)
-    for traj in trajs:
-        assert traj.aborted_at is not None and traj.aborted_at > 0
-        assert np.all(np.isfinite(traj.states))
+        chains = _chains(run(pg, np.array([1.0]), cfg))
+    for states, step_indices, aborted_at in chains:
+        assert aborted_at is not None and aborted_at > 0
+        assert np.all(np.isfinite(states))
         # the chain stopped at its state of the step before the abort
-        last = traj.states[traj.step_indices == traj.aborted_at - 1]
-        assert np.array_equal(traj.final_state, last[0])
+        last = states[step_indices == aborted_at - 1]
+        assert np.array_equal(states[-1], last[0])
 
 
 def test_ensemble_divergent_chain_stops_others_run_on():
@@ -123,7 +132,6 @@ def test_ensemble_divergent_chain_stops_others_run_on():
     assert np.all(np.isfinite(run.states))
     frozen = run.states[run.step_indices >= stop, 0]
     assert len(frozen) > 0 and np.all(frozen == frozen[0])
-    assert run.chain(0).aborted_at == stop and run.chain(1).aborted_at is None
     # one RNG stream draws all rows, so the other chains are unaffected
     assert np.array_equal(run.step_indices, ref.step_indices)
     assert np.array_equal(run.states[:, 1:], ref.states[:, 1:])
@@ -139,9 +147,11 @@ def test_ensemble_matches_single_chain_api():
     assert run.states.shape[1:] == (5, 3)
     snap = run.snapshot(40)
     assert snap.shape == (5, 3)
-    one = run.chain(2)
-    assert isinstance(one, smp.Trajectory)
-    assert np.array_equal(one.states, run.states[:, 2, :])
+    assert np.array_equal(snap, run.states[-1])
+    # a single chain is a batch of one, on the same recording grid
+    one = smp.run_langevin_ensemble(pg, z0[2:3], cfg)
+    assert one.states.shape == (len(run.step_indices), 1, 3)
+    assert np.array_equal(one.step_indices, run.step_indices)
     with pytest.raises(KeyError):
         run.snapshot(41)
 
@@ -258,15 +268,59 @@ def test_posterior_sgld_conjugate_moments():
         noise_sigma=sigma)
     prior = priors.GaussianMixturePrior.standard(p)
     mean_exp, var_exp = gaussian_posterior_moments(y, sigma)
-    kept = []
-    for c in range(6):
-        cfg = smp.LangevinConfig(eta=0.02, beta=1.0, steps=20_000,
-                                 seed=SEED + 8 + c, record_every=10)
-        traj = smp.posterior_sgld(problem, prior, None, cfg)
-        kept.append(traj.states[len(traj.states) // 2:])
-    pooled = np.concatenate(kept)
+    cfg = smp.LangevinConfig(eta=0.02, beta=1.0, steps=20_000,
+                             seed=SEED + 8, record_every=10)
+    run = smp.posterior_sgld(problem, prior, None, cfg, chains=6)
+    pooled = run.states[len(run.states) // 2:].reshape(-1, p)
     assert np.allclose(pooled.mean(axis=0), mean_exp, atol=0.05)
     assert np.allclose(pooled.var(axis=0), var_exp, atol=0.04)
+
+
+@pytest.mark.parametrize("p, rows", [(2, None), (2, 3), (8, 8), (8, 5)],
+                         ids=["identity-p2", "linear-3x2", "linear-8x8",
+                              "linear-5x8"])
+def test_posterior_sgld_chain_is_independent_of_chain_count(p, rows):
+    # chain c of a batch is bit for bit the one-chain run at seed + c
+    rng = np.random.default_rng(SEED + 23)
+    M = None if rows is None else rng.standard_normal((rows, p))
+    m = p if rows is None else rows
+    problem = gen.InverseProblem(
+        generator=None, map=gen.MeasurementMap(matrix=None, m=m),
+        y=rng.standard_normal(m), noise_sigma=0.6)
+    prior = priors.GaussianMixturePrior(
+        weights=np.array([0.4, 0.6]), means=rng.standard_normal((2, p)),
+        variances=np.array([0.5, 1.5]))
+    cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=300, seed=SEED + 24,
+                             record_every=7)
+    run = smp.posterior_sgld(problem, prior, M, cfg, chains=3)
+    assert run.states.shape[1:] == (3, p)
+    for c in range(3):
+        one = smp.posterior_sgld(problem, prior, M, smp.LangevinConfig(
+            eta=0.01, beta=1.0, steps=300, seed=SEED + 24 + c,
+            record_every=7))
+        assert np.array_equal(one.step_indices, run.step_indices)
+        assert one.states[:, 0].tobytes() == run.states[:, c].tobytes()
+        assert one.losses[:, 0].tobytes() == run.losses[:, c].tobytes()
+
+
+def test_posterior_sgld_rejects_observation_of_the_wrong_shape():
+    # the tail's output must be the measurement map's input
+    prior = priors.GaussianMixturePrior.standard(2)
+    cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=10, seed=0)
+
+    def problem(m, matrix=None):
+        return gen.InverseProblem(
+            generator=None, map=gen.MeasurementMap(matrix=matrix, m=m),
+            y=np.zeros(m), noise_sigma=1.0)
+
+    G = gen.build_generator([2, 12, 8], seed=SEED + 25)
+    for prob, G2 in ((problem(1), None),                     # identity tail
+                     (problem(3, np.ones((3, 4))), None),    # map takes 4
+                     (problem(2), np.ones((3, 2))),          # linear tail
+                     (problem(4), G)):                       # ReLU tail
+        with pytest.raises(ValueError, match="measurement map"):
+            smp.posterior_sgld(prob, prior, G2, cfg)
+    smp.posterior_sgld(problem(3, np.ones((3, 8))), prior, G, cfg)
 
 
 def test_posterior_sgld_rejects_zero_noise():
@@ -288,9 +342,9 @@ def test_posterior_sgld_likelihood_weight_zero_samples_prior():
     prior = priors.GaussianMixturePrior.standard(p)
     cfg = smp.LangevinConfig(eta=0.02, beta=1.0, steps=40_000, seed=SEED + 20,
                              record_every=10)
-    traj = smp.posterior_sgld(problem, prior, None, cfg,
-                              likelihood_weight=0.0)
-    tail = traj.states[len(traj.states) // 4:]
+    run = smp.posterior_sgld(problem, prior, None, cfg,
+                             likelihood_weight=0.0)
+    tail = run.states[len(run.states) // 4:, 0]
     # any likelihood leakage would drag the mean toward 4 (= y * snr)
     assert abs(float(tail.mean())) < 0.15
     assert float((tail * tail).mean()) == pytest.approx(1.0, abs=0.1)
@@ -306,17 +360,17 @@ def test_posterior_sgld_with_relu_tail():
     prior = priors.GaussianMixturePrior.standard(3)
     cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=500, seed=SEED + 22,
                              record_every=50)
-    traj = smp.posterior_sgld(problem, prior, G, cfg)
-    assert traj.aborted_at is None
-    assert np.all(np.isfinite(traj.states))
+    run = smp.posterior_sgld(problem, prior, G, cfg)
+    assert list(run.aborted_at) == [-1]
+    assert np.all(np.isfinite(run.states))
 
 
 def test_relu_tail_pullback_matches_finite_differences():
     # the intermediate-layer potential's tail: pullback(w, masks, v) is the
     # gradient of v . apply(w), checked where no preactivation changes sign
     G = gen.build_generator([3, 12, 8], seed=SEED + 21)
-    apply, pullback, p = smp._tail_map(G, 3)
-    assert p == 3
+    apply, pullback, p, out_dim = smp._tail_map(G, 3)
+    assert (p, out_dim) == (3, 8)
     rng = np.random.default_rng(SEED + 26)
     h = 1e-6
     for _ in range(20):
@@ -341,8 +395,9 @@ def test_coupled_pair_shares_noise():
     cfg = smp.LangevinConfig(eta=0.05, beta=3.0, steps=60, seed=SEED + 26,
                              record_every=1)
     z0 = np.array([0.4, -0.2, 0.9])
-    ta, tb = smp.coupled_pair(pg, z0, z0.copy(), cfg)
-    assert np.array_equal(ta.states, tb.states)   # identical forever
+    run = smp.coupled_pair(pg, z0, z0.copy(), cfg)
+    assert run.states.shape[1] == 2
+    assert np.array_equal(run.states[:, 0], run.states[:, 1])  # forever
 
 
 def test_coupled_pair_contracts_on_quadratic():
@@ -350,8 +405,8 @@ def test_coupled_pair_contracts_on_quadratic():
     pg = _quad(a)
     cfg = smp.LangevinConfig(eta=0.2, beta=5.0, steps=80, seed=SEED + 27,
                              record_every=1)
-    ta, tb = smp.coupled_pair(pg, np.ones(3), -np.ones(3), cfg)
-    gaps = np.linalg.norm(ta.states - tb.states, axis=1)
+    run = smp.coupled_pair(pg, np.ones(3), -np.ones(3), cfg)
+    gaps = np.linalg.norm(run.states[:, 0] - run.states[:, 1], axis=1)
     factor = np.max(np.abs(1.0 - 0.2 * a))
     for i in range(len(gaps) - 1):
         if gaps[i] < 1e-9:
