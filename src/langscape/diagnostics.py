@@ -24,7 +24,6 @@ __all__ = [
     "RegionSpec",
     "TailReport",
     "DriftReport",
-    "w1_exact_1d",
     "sliced_w1",
     "wilson_interval",
     "grid_density_sampler",
@@ -47,7 +46,7 @@ class EmpiricalDistribution:
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        s = np.array(self.samples, dtype=float, ndmin=2)
         if s.shape[0] < 1 or not np.all(np.isfinite(s)):
             raise ValueError("samples must be a nonempty finite matrix")
         object.__setattr__(self, "samples", s)
@@ -116,22 +115,11 @@ def _as_samples(a) -> np.ndarray:
     return a
 
 
-def w1_exact_1d(a, b) -> float:
-    """Exact 1-D W1: mean absolute gap between sorted order statistics."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(
-            f"sample counts differ ({a.shape[0]} vs {b.shape[0]}); resample "
-            "to a common size before comparing")
-    return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
-
-
 def sliced_w1(a, b, projections: int, seed: int) -> float:
     """Mean of exact 1-D W1 over random unit-direction projections.
 
-    Deterministic given seed; in dimension 1 this reduces to w1_exact_1d
-    exactly (projections are then +-1).
+    Deterministic given seed; in dimension 1 this reduces to the exact
+    W1, the mean gap between sorted samples (projections are then +-1).
     """
     a, b = _as_samples(a), _as_samples(b)
     if a.shape[1] != b.shape[1]:
@@ -266,13 +254,13 @@ def tail_statistics(run: EnsembleRun, beta: float, eta: float, A: float,
 def min_hessian_eig(x, z_star, d: int, n: int):
     """Smallest eigenvalue of the idealized-loss Hessian at x != 0.
 
-    Exact from the polar coefficients: the (radial, tangential) 2x2 block
-    eigenvalues and, for n >= 3, the (n-2)-fold coefficient of the
+    Exact from the polar coefficients: the smaller of the radial and
+    tangential ones and, for n >= 3, the (n-2)-fold coefficient of the
     rotational directions.  A float for one point x of shape (n,), an
     array over the leading axes of a batch.
     """
-    c_rr, c_tt, c_rt, c_psi, _ = ideal_hessian(x, z_star, d, n)
-    lam_min = 0.5 * (c_rr + c_tt) - np.hypot(0.5 * (c_rr - c_tt), c_rt)
+    c_rr, c_tt, c_psi, _ = ideal_hessian(x, z_star, d, n)
+    lam_min = 0.5 * (c_rr + c_tt) - np.abs(0.5 * (c_rr - c_tt))
     if n >= 3:
         lam_min = np.minimum(lam_min, c_psi)
     return float(lam_min) if np.ndim(x) == 1 else lam_min

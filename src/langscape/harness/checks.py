@@ -32,7 +32,7 @@ from .. import samplers as smp
 from . import experiment
 from .config import validate_config
 
-__all__ = ["CheckResult", "CHECK_IDS", "run_checks", "theory_check_suite"]
+__all__ = ["CheckResult", "CHECK_IDS", "theory_check_suite"]
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def _sample_away_from_critical(rng, count, n, d, r_lo=0.15, r_hi=2.5,
     A = ls.saddle_radius(d)
     zs = np.zeros(n)
     zs[0] = 1.0
-    out = np.empty((0, n))
+    out = np.zeros((0, n))
     while len(out) < count:
         dirs = rng.standard_normal((count, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -103,7 +103,7 @@ def c01_gradient_fd(seed: int, grad_fn=None) -> CheckResult:
 
             g = grad_fn(X, z_star, d)
             h = 1e-6 * s
-            fd = np.empty_like(g)
+            fd = np.zeros_like(g)
             for i in range(n):
                 e = np.zeros(n)
                 e[i] = h
@@ -528,13 +528,12 @@ _REGISTRY = {
 CHECK_IDS = tuple(_REGISTRY)
 
 
-def run_checks(ids, seed: int) -> list[CheckResult]:
+def theory_check_suite(seed: int = 0, ids=None) -> list[CheckResult]:
+    """Run the full verification suite (or a subset) and return records.
+
+    Unknown ids raise KeyError before any check runs."""
+    ids = list(ids) if ids else list(CHECK_IDS)
     unknown = [i for i in ids if i not in _REGISTRY]
     if unknown:
         raise KeyError(f"unknown check ids: {', '.join(unknown)}")
     return [_REGISTRY[i](seed) for i in ids]
-
-
-def theory_check_suite(seed: int = 0, ids=None) -> list[CheckResult]:
-    """Run the full verification suite (or a subset) and return records."""
-    return run_checks(list(ids) if ids else list(CHECK_IDS), seed)

@@ -33,9 +33,6 @@ __all__ = [
     "describe_schema",
 ]
 
-MODES = ("landscape", "wdc", "rric", "mix", "invert", "posterior",
-         "theory-check")
-
 
 class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
@@ -166,6 +163,8 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     },
 }
 
+MODES = tuple(SCHEMAS)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -184,10 +183,13 @@ class ExperimentConfig:
 
 
 def load_json(path: str) -> dict:
+    """The JSON object in a file; ConfigError for anything that does not
+    parse: bad syntax, bytes that are not UTF-8, an integer too long to
+    convert (ValueError), or nesting too deep (RecursionError)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

@@ -72,7 +72,6 @@ class ThetaChain:
     theta_d: float | np.ndarray
     theta_d_prime: float | np.ndarray
     theta_d_double_prime: float | np.ndarray
-    depth: int
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,8 @@ class ModifiedLossParams:
 def _as_angle_array(theta):
     th = np.asarray(theta, dtype=float)
     scalar = th.ndim == 0
-    if not np.all(np.isfinite(th)):
-        raise ValueError("angle must be finite")
+    if np.any(np.isinf(th)):
+        raise ValueError("angle must not be infinite")
     if np.any(th < 0.0) or np.any(th > math.pi):
         raise ValueError("angle outside the domain [0, pi]")
     return th, scalar
@@ -117,9 +116,9 @@ def _as_angle_array(theta):
 
 def _g_core(th: np.ndarray):
     """g, g', g'' on [0, pi]; series branches inside THETA_SWITCH of 0/pi."""
-    g = np.empty_like(th)
-    gp = np.empty_like(th)
-    gpp = np.empty_like(th)
+    g = np.zeros_like(th)
+    gp = np.zeros_like(th)
+    gpp = np.zeros_like(th)
 
     lo = th < THETA_SWITCH
     hi = (math.pi - th) < THETA_SWITCH
@@ -160,14 +159,15 @@ def theta_chain(theta, d: int) -> ThetaChain:
 
     Uses the recurrences T <- g(T), P <- g'(T) P, S <- g''(T) P^2 + g'(T) S,
     which keep P in [0, 1] and S <= 0 exactly (no cancelling divisions).
-    d = 0 returns the identity chain.
+    d = 0 returns the identity chain.  A NaN angle (that of a non-finite
+    state) gives NaN fields; an infinite or out-of-range angle raises.
     """
     if not isinstance(d, (int, np.integer)):
         raise TypeError("depth must be an integer")
     if d < 0:
         raise ValueError("depth must be nonnegative")
     th, scalar = _as_angle_array(theta)
-    T = np.atleast_1d(th).copy()
+    T = th.copy()
     P = np.ones_like(T)
     S = np.zeros_like(T)
     for _ in range(int(d)):
@@ -176,8 +176,8 @@ def theta_chain(theta, d: int) -> ThetaChain:
         P = gp * P
         T = g
     if scalar:
-        return ThetaChain(float(T[0]), float(P[0]), float(S[0]), int(d))
-    return ThetaChain(T, P, S, int(d))
+        return ThetaChain(float(T), float(P), float(S))
+    return ThetaChain(T, P, S)
 
 
 _SADDLE_CACHE: dict[int, float] = {}
@@ -258,6 +258,17 @@ def ideal_loss(x, z_star, d: int):
     return float(val) if x.ndim == 1 else val
 
 
+def _ambient_gradient(coef_r, coef_z, rhat, zhat, s, r):
+    """(coef_r rhat - coef_z zhat) / ||z*||, the zero vector where x = 0.
+
+    Every gradient here has this form: with thetahat = (cos(theta) rhat
+    - zhat) / sin(theta), coef_z is the tangential coefficient over
+    sin(theta) and coef_r the radial one plus coef_z cos(theta).
+    """
+    grad = (coef_r[..., None] * rhat - coef_z[..., None] * zhat) / s
+    return np.where((r > 0.0)[..., None], grad, 0.0)
+
+
 def ideal_gradient(x, z_star, d: int):
     """Ambient gradient of ideal_loss.
 
@@ -270,50 +281,35 @@ def ideal_gradient(x, z_star, d: int):
     c = theta_chain(theta, d)
     ratio = _tangential_ratio(theta, c)
     coef_r = (r - np.cos(c.theta_d)) + ratio * np.cos(theta)
-    grad = (coef_r[..., None] * rhat - ratio[..., None] * zhat) / s
-    return np.where((r > 0.0)[..., None], grad, 0.0)
-
-
-def _hessian_coeffs(r, theta, d: int):
-    """Canonical polar Hessian coefficients of L at radius r > 0.
-
-    Returns (c_rr, c_tt, c_rt, c_psi): the Hessian in an orthonormal basis
-    (rhat, thetahat, psi_1..psi_{n-2}) is [[c_rr, c_rt], [c_rt, c_tt]] on
-    the first block and c_psi I on the complement.  c_rt = L_rtheta/r
-    - L_theta/r^2 vanishes identically for this loss (L_rtheta = L_theta/r);
-    it is kept for the general polar form used by the potential.
-    """
-    c = theta_chain(theta, d)
-    cos_td = np.cos(c.theta_d)
-    sin_td = np.sin(c.theta_d)
-    P = c.theta_d_prime
-    S = c.theta_d_double_prime
-    ratio = _tangential_ratio(theta, c)
-    c_rr = np.ones_like(r)
-    c_tt = (r - cos_td + cos_td * P * P + sin_td * S) / r
-    c_rt = np.zeros_like(r)
-    c_psi = (r - cos_td) / r + ratio * np.cos(theta) / r
-    return c_rr, c_tt, c_rt, c_psi
+    return _ambient_gradient(coef_r, ratio, rhat, zhat, s, r)
 
 
 def ideal_hessian(x, z_star, d: int, n: int):
     """Polar Hessian coefficients and Laplacian of ideal_loss at x != 0.
 
-    Returns (c_rr, c_tt, c_rt, c_psi, laplacian) with laplacian
-    = c_rr + c_tt + (n-2) c_psi; n is the ambient dimension (multiplicity
-    of the psi block).  Coefficients are ambient second derivatives, i.e.
-    the canonical values divided by ||z*||^2.
+    Returns (c_rr, c_tt, c_psi, laplacian): in an orthonormal basis
+    (rhat, thetahat, psi_1..psi_{n-2}) the Hessian is diag(c_rr, c_tt) on
+    the first block and c_psi I on the complement (no mixed term, since
+    L_rtheta = L_theta / r), and laplacian = c_rr + c_tt + (n-2) c_psi;
+    n is the ambient dimension.  Coefficients are ambient second
+    derivatives, i.e. the canonical values divided by ||z*||^2.
     """
     x, s, r, theta, _, _ = _polar_parts(x, z_star)
     if np.any(r == 0.0):
         raise ValueError("Hessian undefined at x = 0")
-    c_rr, c_tt, c_rt, c_psi = _hessian_coeffs(r, theta, d)
+    c = theta_chain(theta, d)
+    cos_td = np.cos(c.theta_d)
+    P = c.theta_d_prime
     s2 = s * s
-    c_rr, c_tt, c_rt, c_psi = c_rr / s2, c_tt / s2, c_rt / s2, c_psi / s2
+    c_rr = np.ones_like(r) / s2
+    c_tt = (r - cos_td + cos_td * P * P
+            + np.sin(c.theta_d) * c.theta_d_double_prime) / r / s2
+    c_psi = ((r - cos_td) / r
+             + _tangential_ratio(theta, c) * np.cos(theta) / r) / s2
     lap = c_rr + c_tt + (n - 2) * c_psi
     if x.ndim == 1:
-        return (float(c_rr), float(c_tt), float(c_rt), float(c_psi), float(lap))
-    return c_rr, c_tt, c_rt, c_psi, lap
+        return float(c_rr), float(c_tt), float(c_psi), float(lap)
+    return c_rr, c_tt, c_psi, lap
 
 
 def hessian_vector_product(x, z_star, d: int, v):
@@ -329,8 +325,8 @@ def hessian_vector_product(x, z_star, d: int, v):
     v = np.asarray(v, dtype=float)
     if v.shape != x.shape:
         raise ValueError("x and v must share one shape (..., n)")
-    c_rr, c_tt, c_rt, c_psi = (np.asarray(c)[..., None] for c in
-                               ideal_hessian(x, z_star, d, x.shape[-1])[:4])
+    c_rr, c_tt, c_psi = (np.asarray(c)[..., None] for c in
+                         ideal_hessian(x, z_star, d, x.shape[-1])[:3])
     st = np.sin(theta)[..., None]
     off = st >= 1e-8
     that = np.where(off, np.cos(theta)[..., None] * rhat - zhat, 0.0) \
@@ -338,86 +334,46 @@ def hessian_vector_product(x, z_star, d: int, v):
     vr = np.sum(v * rhat, axis=-1, keepdims=True)
     vt = np.sum(v * that, axis=-1, keepdims=True)
     rest = v - vr * rhat - vt * that
-    return (c_rr * vr + c_rt * vt) * rhat \
-        + (c_rt * vr + c_tt * vt) * that + c_psi * rest
+    return c_rr * vr * rhat + c_tt * vt * that + c_psi * rest
 
 
 # ---------------------------------------------------------------------------
 # smooth step, smoothed loss, potential
 
 
-def _step_parts(a: float, b: float, r: np.ndarray):
-    """(h, h_r, h_rr) of the piecewise-quadratic step; knots take the value
-    of the closed-left piece."""
+def _step_parts(a: float, b: float, r):
+    """(h, h_r, h_rr) of the piecewise-quadratic step from 0 at r <= a to
+    1 at r >= b; knots take the value of the closed-left piece."""
     inv = 1.0 / ((b - a) * (b - a))
     mid = 0.5 * (a + b)
-    h = np.empty_like(r)
-    h_r = np.empty_like(r)
-    h_rr = np.empty_like(r)
-
-    m1 = r <= a
-    m2 = (r > a) & (r <= mid)
-    m3 = (r > mid) & (r < b)
-    m4 = r >= b
-
-    h[m1] = 0.0
-    h_r[m1] = 0.0
-    h_rr[m1] = 0.0
-
-    t = r[m2] - a
-    h[m2] = 2.0 * t * t * inv
-    h_r[m2] = 4.0 * t * inv
-    h_rr[m2] = 4.0 * inv
-
-    t = b - r[m3]
-    h[m3] = 1.0 - 2.0 * t * t * inv
-    h_r[m3] = 4.0 * t * inv
-    h_rr[m3] = -4.0 * inv
-
-    h[m4] = 1.0
-    h_r[m4] = 0.0
-    h_rr[m4] = 0.0
-    return h, h_r, h_rr
+    rise = (r > a) & (r <= mid)
+    fall = (r > mid) & (r < b)
+    t = np.where(rise, r - a, np.where(fall, b - r, 0.0))
+    sq = 2.0 * t * t * inv
+    h = np.where(rise, sq, np.where(fall, 1.0 - sq, np.where(r >= b, 1.0, 0.0)))
+    h_rr = np.where(rise, 4.0 * inv, np.where(fall, -4.0 * inv, 0.0))
+    return h, 4.0 * t * inv, h_rr
 
 
-def _modified_parts(r, theta, d: int, params: ModifiedLossParams):
-    """Value and polar derivatives of the smoothed loss Lhat at canonical r.
+def _smoothed_parts(r, theta, d: int, params: ModifiedLossParams):
+    """Polar pieces of the smoothed loss Lhat at canonical r.
 
     Lhat = L h1 + xi (1 - h2) with h1 = step(r0/3, 2 r0/3), h2 = step(0, r0).
-    Second radial derivative uses the full product rule
-    Lhat_rr = L_rr h1 + 2 L_r h1_r + L h1_rr - xi h2_rr.
+    Returns (chain, h1, ratio_h, Lhat, Lhat_r, Lhat_rr): ratio_h = h1 times
+    the tangential ratio is the gradient's coef_z, and Lhat_rr uses the full
+    product rule L_rr h1 + 2 L_r h1_r + L h1_rr - xi h2_rr with L_rr = 1.
     """
     r0 = params.r0
     c = theta_chain(theta, d)
     cos_td = np.cos(c.theta_d)
-    sin_td = np.sin(c.theta_d)
-    P = c.theta_d_prime
-    S = c.theta_d_double_prime
-    ratio = _tangential_ratio(theta, c)
-
     L = 0.5 * r * r - r * cos_td + 0.5
     L_r = r - cos_td
-    L_t = r * sin_td * P          # dL/dtheta
     h1, h1_r, h1_rr = _step_parts(r0 / 3.0, 2.0 * r0 / 3.0, r)
     h2, h2_r, h2_rr = _step_parts(0.0, r0, r)
-
     val = L * h1 + params.xi * (1.0 - h2)
     Lhat_r = L_r * h1 + L * h1_r - params.xi * h2_r
-    Lhat_t = L_t * h1
-    Lhat_rr = h1 + 2.0 * L_r * h1_r + L * h1_rr - params.xi * h2_rr  # L_rr = 1
-    Lhat_tt = (r * cos_td * P * P + r * sin_td * S) * h1
-    Lhat_rt = sin_td * P * h1 + L_t * h1_r
-    # tangential gradient coefficient Lhat_t / r and the cot-term
-    # Lhat_t cos(theta) / (r^2 sin(theta)), both with endpoint limits
-    tang = h1 * ratio * np.sin(theta)        # = Lhat_t / r
-    q = h1 * ratio * np.cos(theta)           # = Lhat_t cos / (r sin) / r * r
-    return {
-        "chain": c, "L": L, "L_r": L_r,
-        "h1": h1, "h1_r": h1_r, "h2": h2, "h2_r": h2_r, "h2_rr": h2_rr,
-        "val": val, "Lhat_r": Lhat_r, "Lhat_t": Lhat_t,
-        "Lhat_rr": Lhat_rr, "Lhat_tt": Lhat_tt, "Lhat_rt": Lhat_rt,
-        "tang": tang, "q": q,
-    }
+    Lhat_rr = h1 + 2.0 * L_r * h1_r + L * h1_rr - params.xi * h2_rr
+    return c, h1, h1 * _tangential_ratio(theta, c), val, Lhat_r, Lhat_rr
 
 
 def modified_loss(x, z_star, d: int, params: ModifiedLossParams):
@@ -428,18 +384,10 @@ def modified_loss(x, z_star, d: int, params: ModifiedLossParams):
     there); at x = 0 the value is xi and the gradient the zero vector.
     """
     x, s, r, theta, rhat, zhat = _polar_parts(x, z_star)
-    squeeze = x.ndim == 1
-    r = np.atleast_1d(r)
-    theta = np.atleast_1d(theta)
-    rhat = np.atleast_2d(rhat)
-    p = _modified_parts(r, theta, d, params)
-    ratio_h = p["h1"] * _tangential_ratio(theta, p["chain"])
-    coef_r = p["Lhat_r"] + ratio_h * np.cos(theta)
-    grad = (coef_r[..., None] * rhat - ratio_h[..., None] * zhat) / s
-    grad = np.where((r > 0.0)[..., None], grad, 0.0)
-    if squeeze:
-        return float(p["val"][0]), grad[0]
-    return p["val"], grad
+    _, _, ratio_h, val, Lhat_r, _ = _smoothed_parts(r, theta, d, params)
+    grad = _ambient_gradient(Lhat_r + ratio_h * np.cos(theta), ratio_h,
+                             rhat, zhat, s, r)
+    return (float(val), grad) if x.ndim == 1 else (val, grad)
 
 
 def potential(x, z_star, d: int, params: ModifiedLossParams):
@@ -452,21 +400,17 @@ def potential(x, z_star, d: int, params: ModifiedLossParams):
     Scalar fields broadcast; x = 0 is handled by the analytic limits.
     """
     x, s, r, theta, rhat, zhat = _polar_parts(x, z_star)
-    squeeze = x.ndim == 1
-    r = np.atleast_1d(r)
-    theta = np.atleast_1d(theta)
-    rhat = np.atleast_2d(rhat)
     n = x.shape[-1]
     lam = params.lam
 
-    p = _modified_parts(r, theta, d, params)
+    c, h1, ratio_h, Lhat, Lhat_r, Lhat_rr = _smoothed_parts(r, theta, d,
+                                                           params)
     h3, h3_r, h3_rr = _step_parts(params.r0, 1.5 * params.r0, r)
-    on = theta >= math.pi / 2.0
-    ind = np.where(on, 1.0, 0.0)
+    ind = np.where(theta >= math.pi / 2.0, 1.0, 0.0)
     ct = np.cos(theta)
     st = np.sin(theta)
 
-    V = p["val"] - lam * ct * h3 * ind
+    V = Lhat - lam * ct * h3 * ind
 
     # polar gradient components; the angular-term tangential part is
     # (lam h3 / r)(cos rhat - zhat), free of sin division
@@ -474,19 +418,22 @@ def potential(x, z_star, d: int, params: ModifiedLossParams):
     rsafe = np.where(pos, r, 1.0)
     W_r = -lam * ct * h3_r * ind
     w_tan = lam * h3 / rsafe * ind            # W_theta / (r sin(theta))
-    ratio_h = p["h1"] * _tangential_ratio(theta, p["chain"])
-    coef_r = p["Lhat_r"] + W_r + (ratio_h + w_tan) * ct
     coef_z = ratio_h + w_tan
-    grad_V = (coef_r[..., None] * rhat - coef_z[..., None] * zhat) / s
-    grad_V = np.where(pos[..., None], grad_V, 0.0)
+    grad_V = _ambient_gradient(Lhat_r + W_r + coef_z * ct, coef_z,
+                               rhat, zhat, s, r)
 
     # Laplacians; near the origin Lhat is the smooth quadratic
     # xi (1 - 2 r^2 / r0^2), so at r = 0 the Laplacian is -4 n xi / r0^2
     # (the piecewise knot convention would wrongly report 0 there)
-    Lhat_r_over_r = np.where(pos, p["Lhat_r"] / rsafe, 0.0)
-    lap_Lhat = p["Lhat_rr"] + Lhat_r_over_r \
-        + np.where(pos, p["Lhat_tt"] / (rsafe * rsafe), 0.0) \
-        + (n - 2) * (Lhat_r_over_r + np.where(pos, p["q"] / rsafe, 0.0))
+    cos_td = np.cos(c.theta_d)
+    P = c.theta_d_prime
+    Lhat_tt = (r * cos_td * P * P
+               + r * np.sin(c.theta_d) * c.theta_d_double_prime) * h1
+    q = ratio_h * ct                          # Lhat_theta cot(theta) / r
+    Lhat_r_over_r = np.where(pos, Lhat_r / rsafe, 0.0)
+    lap_Lhat = Lhat_rr + Lhat_r_over_r \
+        + np.where(pos, Lhat_tt / (rsafe * rsafe), 0.0) \
+        + (n - 2) * (Lhat_r_over_r + np.where(pos, q / rsafe, 0.0))
     lap_Lhat = np.where(pos, lap_Lhat,
                         -4.0 * n * params.xi / (params.r0 * params.r0))
     lap_W = (-lam * ct * (h3_rr + (n - 1) * h3_r / rsafe)
@@ -494,12 +441,10 @@ def potential(x, z_star, d: int, params: ModifiedLossParams):
     lap_W = np.where(pos, lap_W, 0.0)         # h3 vanishes near the origin
 
     # <grad Lhat, grad V> in polar components
-    V_r = p["Lhat_r"] + W_r
-    V_tan = ratio_h * st + w_tan * st         # V_theta / r
-    L_tan = ratio_h * st
-    inner = p["Lhat_r"] * V_r + L_tan * V_tan
+    L_tan = ratio_h * st                      # Lhat_theta / r
+    inner = Lhat_r * (Lhat_r + W_r) + L_tan * (L_tan + w_tan * st)
 
     script_LV = (lap_Lhat + lap_W - params.beta * inner) / (s * s)
-    if squeeze:
-        return float(V[0]), grad_V[0], float(script_LV[0])
+    if x.ndim == 1:
+        return float(V), grad_V, float(script_LV)
     return V, grad_V, script_LV

@@ -29,7 +29,7 @@ class GaussianMixturePrior:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        mu = np.atleast_2d(np.asarray(self.means, dtype=float))
+        mu = np.array(self.means, dtype=float, ndmin=2)
         v = np.asarray(self.variances, dtype=float)
         if w.ndim != 1 or mu.shape[0] != w.shape[0] or v.shape != w.shape:
             raise ValueError("weights, means, variances must have matching counts")

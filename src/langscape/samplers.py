@@ -84,10 +84,6 @@ class Trajectory:
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory states must be finite")
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 @dataclass(frozen=True)
 class EnsembleRun:

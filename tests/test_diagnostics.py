@@ -20,26 +20,9 @@ MEAN_ABS_COORD_8 = 0.29102618165375147
 # transport distances
 
 
-def test_w1_exact_1d_hand_values():
-    assert diag.w1_exact_1d([0.0], [1.0]) == 1.0
-    assert diag.w1_exact_1d([0.0, 1.0], [1.0, 0.0]) == 0.0
-    assert diag.w1_exact_1d([0.0, 0.0], [1.0, 3.0]) == 2.0
-    # matching is order statistics, not index pairing
-    assert diag.w1_exact_1d([5.0, 1.0], [1.0, 5.0]) == 0.0
-
-
-def test_w1_exact_1d_random_vs_oracle():
-    rng = np.random.default_rng(SEED)
-    for _ in range(30):
-        a = rng.standard_normal(int(rng.integers(2, 40)))
-        b = rng.standard_normal(len(a)) * 2.0 + 0.3
-        assert diag.w1_exact_1d(a, b) == pytest.approx(sorted_w1_1d(a, b),
-                                                       rel=1e-14)
-
-
-def test_w1_exact_1d_rejects_unequal_counts():
-    with pytest.raises(ValueError):
-        diag.w1_exact_1d([0.0, 1.0], [0.0])
+def test_sliced_w1_rejects_unequal_counts():
+    with pytest.raises(ValueError, match="sample counts differ"):
+        diag.sliced_w1([0.0, 1.0], [0.0], projections=4, seed=SEED)
 
 
 def test_sliced_w1_collapses_to_exact_in_1d():
@@ -47,8 +30,7 @@ def test_sliced_w1_collapses_to_exact_in_1d():
     a = rng.standard_normal((50, 1))
     b = rng.standard_normal((50, 1)) + 1.0
     sliced = diag.sliced_w1(a, b, projections=16, seed=SEED + 2)
-    assert sliced == pytest.approx(diag.w1_exact_1d(a[:, 0], b[:, 0]),
-                                   rel=1e-12)
+    assert sliced == pytest.approx(sorted_w1_1d(a[:, 0], b[:, 0]), rel=1e-12)
 
 
 def test_sliced_w1_point_masses_match_beta_moment():

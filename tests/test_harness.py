@@ -212,10 +212,15 @@ def test_cli_exit_2_on_unknown_config_key(tmp_path, capsys):
 
 def test_cli_exit_2_on_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{d: 2")
-    assert main(["landscape", "--config", str(path),
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "config error" in capsys.readouterr().err
+    for content in (b"{d: 2",
+                    b'\xff\xfe{"d": 2}',              # not UTF-8
+                    b"[" * 100_000 + b"]" * 100_000,    # nested too deep
+                    b'{"d": ' + b"1" * 5000 + b"}"):    # int past 4300 digits
+        path.write_bytes(content)
+        assert main(["landscape", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error: config is not valid JSON" \
+            in capsys.readouterr().err
 
 
 def test_cli_exit_4_on_missing_config_file(tmp_path, capsys):
@@ -306,9 +311,9 @@ def test_cli_theory_check_empty_list_runs_every_check(tmp_path, capsys,
     assert [r["check_id"] for r in report["checks"]] == list(hchecks.CHECK_IDS)
 
 
-def test_run_checks_rejects_unknown_id():
+def test_theory_check_suite_rejects_unknown_id():
     with pytest.raises(KeyError, match="c99_missing"):
-        hchecks.run_checks(["c99_missing"], seed=0)
+        hchecks.theory_check_suite(0, ["c02_census", "c99_missing"])
 
 
 def test_check_result_record_uses_pass_key():
@@ -406,21 +411,32 @@ def test_cli_invert_divergence_exits_5(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("snapshots, curve", [([100], []), ([50, 100], ["50"])])
-def test_cli_mix_divergence_exits_5(tmp_path, snapshots, curve):
-    # at eta = 50 every chain stops at step 92, so step 100 is never reached
-    cfg = _write_cfg(tmp_path, {"eta": 50, "snapshot_steps": snapshots,
-                                "svg": True})
+def _assert_mix_diverges(tmp_path, raw, chains, curve):
+    cfg = _write_cfg(tmp_path, {**raw, "svg": True})
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["mix", "--config", cfg, "--out", str(out)]) == 5
     summary = json.loads((out / "result.json").read_text())["summary"]
-    assert summary["aborted_chains"] == list(range(200))
+    assert summary["aborted_chains"] == list(range(chains))
     assert list(summary["w1_curve"]) == curve
     assert summary["final_w1"] == (summary["w1_curve"][curve[-1]]
                                    if curve else None)
     lines = (out / "mixing_w1.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == curve
+
+
+@pytest.mark.parametrize("snapshots, curve", [([100], []), ([50, 100], ["50"])])
+def test_cli_mix_divergence_exits_5(tmp_path, snapshots, curve):
+    # at eta = 50 every chain stops at step 92, so step 100 is never reached
+    _assert_mix_diverges(tmp_path, {"eta": 50, "snapshot_steps": snapshots},
+                         200, curve)
+
+
+def test_cli_mix_overflowing_state_exits_5(tmp_path):
+    # the first step overflows to an infinite state whose angle is NaN
+    _assert_mix_diverges(tmp_path, {"eta": 1e308, "chains": 2, "grid": 8,
+                                    "snapshot_steps": [10], "projections": 4},
+                         2, [])
 
 
 def test_posterior_single_sample_writes_strict_json(tmp_path):

@@ -79,6 +79,22 @@ def test_angle_map_rejects_out_of_domain():
         _g(-0.1)
     with pytest.raises(ValueError):
         _g(math.pi + 0.1)
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _g(bad)
+
+
+def test_theta_chain_propagates_nan():
+    # a non-finite state has a NaN angle: it must reach the caller, whose
+    # divergence test then sees it, not raise inside the angle map
+    theta = np.array([0.5, np.nan, 3.0])
+    fields = ("theta_d", "theta_d_prime", "theta_d_double_prime")
+    for d in (1, 3):
+        ch = ls.theta_chain(theta, d)
+        finite = ls.theta_chain(theta[[0, 2]], d)
+        for f in fields:
+            assert np.isnan(getattr(ch, f)[1])
+            assert np.array_equal(getattr(ch, f)[[0, 2]], getattr(finite, f))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +216,7 @@ def test_hessian_vector_product_matches_fd_hessian():
             H_fd = fd_hessian(lambda q: ls.ideal_gradient(q, zs, d), p)
             assert np.allclose(H, H.T, atol=1e-11)
             assert np.max(np.abs(H - H_fd)) < 1e-5
-            lap = ls.ideal_hessian(p, zs, d, n)[4]
+            lap = ls.ideal_hessian(p, zs, d, n)[3]
             assert lap == pytest.approx(float(np.trace(H)), abs=1e-10)
 
 
@@ -317,6 +333,48 @@ def test_potential_gradient_matches_fd():
                          h=1e-7)
         _, got, _ = ls.potential(x, zs, 2, params)
         assert np.linalg.norm(fd - got) < 1e-5 * max(1.0, np.linalg.norm(got))
+
+
+def test_potential_is_modified_loss_where_escape_term_is_off():
+    # V = Lhat bit for bit wherever theta < pi/2 or r <= r0: value and
+    # gradient come from one shared derivation of the smoothed loss
+    rng = np.random.default_rng(SEED + 9)
+    for n, d, scale in ((2, 2, 1.0), (3, 2, 2.5), (5, 3, 0.7), (8, 4, 1.0)):
+        zs = rng.standard_normal(n)
+        zs *= scale / np.linalg.norm(zs)
+        params = ls.ModifiedLossParams.for_depth(d, xi=4.0, lam=0.3)
+        X = rng.standard_normal((400, n)) * rng.uniform(0.0, 2.0, (400, 1))
+        X = np.concatenate([X, [np.zeros(n), zs, 0.5 * zs, -0.99 * params.r0
+                                * zs, -0.5 * params.r0 * zs]])
+        r = np.linalg.norm(X, axis=1) / scale
+        off = (X @ zs > 0.0) | (r <= params.r0)
+        X = X[off]
+        val, grad = ls.modified_loss(X, zs, d, params)
+        V, grad_V, _ = ls.potential(X, zs, d, params)
+        assert len(X) > 100
+        assert V.tobytes() == val.tobytes()
+        assert grad_V.tobytes() == grad.tobytes()
+        for x in X[-5:]:
+            one_val, one_grad = ls.modified_loss(x, zs, d, params)
+            one_V, one_grad_V, _ = ls.potential(x, zs, d, params)
+            assert np.float64(one_V).tobytes() == np.float64(one_val).tobytes()
+            assert one_grad_V.tobytes() == one_grad.tobytes()
+        # and the escape term is on behind the saddle, past r0
+        x = -1.25 * params.r0 * zs
+        assert ls.potential(x, zs, d, params)[0] \
+            > ls.modified_loss(x, zs, d, params)[0]
+
+
+def test_modified_loss_row_with_inf_is_non_finite():
+    zs = np.array([0.0, 1.0, 0.0])
+    params = ls.ModifiedLossParams.for_depth(2)
+    X = np.array([[0.3, -0.4, 0.2], [np.inf, 0.0, 0.0], [0.1, 0.2, 0.3]])
+    with np.errstate(invalid="ignore"):
+        val, grad = ls.modified_loss(X, zs, 2, params)
+    assert not (np.isfinite(val[1]) and np.all(np.isfinite(grad[1])))
+    val_ok, grad_ok = ls.modified_loss(X[[0, 2]], zs, 2, params)
+    assert np.allclose(val[[0, 2]], val_ok, rtol=1e-12, atol=0.0)
+    assert np.allclose(grad[[0, 2]], grad_ok, rtol=1e-12, atol=0.0)
 
 
 def test_generator_functional_matches_fd_laplacian():

@@ -165,7 +165,7 @@ def test_run_gd_quadratic_convergence():
     pg = _quad(a)
     traj = smp.run_gd(pg, np.array([2.0, -1.0, 0.5]), eta=0.4, steps=200,
                       record_every=50)
-    assert np.linalg.norm(traj.final_state) < 1e-10
+    assert np.linalg.norm(traj.states[-1]) < 1e-10
     assert traj.losses[-1] < 1e-20
 
 
