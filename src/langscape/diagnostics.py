@@ -17,11 +17,10 @@ import numpy as np
 
 from .landscape import ModifiedLossParams, ideal_hessian, modified_loss, \
     potential, theta_chain
-from .samplers import EnsembleRun, LangevinConfig
+from .samplers import EnsembleRun
 
 __all__ = [
     "EmpiricalDistribution",
-    "RegionSpec",
     "TailReport",
     "DriftReport",
     "sliced_w1",
@@ -53,20 +52,6 @@ class EmpiricalDistribution:
 
 
 @dataclass(frozen=True)
-class RegionSpec:
-    """Euclidean ball with positive radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center",
-                           np.asarray(self.center, dtype=float))
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-
-
-@dataclass(frozen=True)
 class TailReport:
     """Escape and norm-bound tail frequencies with 95% Wilson intervals."""
 
@@ -75,9 +60,6 @@ class TailReport:
     escape_ci_low: float
     escape_ci_high: float
     norm_exceed_frequency: float
-    chains: int
-    threshold: float
-    t_min: int
 
 
 @dataclass(frozen=True)
@@ -87,14 +69,13 @@ class DriftReport:
     mean_delta: float
     ci_low: float
     ci_high: float
-    trials: int
-    eta: float
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int):
+    """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one trial")
+    z = _Z95
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -167,14 +148,15 @@ def grid_density_sampler(log_density, bounds, resolution: int, count: int,
     return EmpiricalDistribution(samples=out)
 
 
-def polar_reference_masses(d: int, beta: float, grid: int, r_max: float = 4.0):
+def polar_reference_masses(d: int, beta: float, grid: int):
     """Normalized cell masses of exp(-beta L) on a polar (r, phi) grid.
 
     The target lives in the plane with z* = e1; phi in (-pi, pi] is the
-    signed angle, theta = |phi|.  Returns (masses, r_edges, phi_edges)
-    with masses of shape (grid, 2 grid) including the r Jacobian.
+    signed angle, theta = |phi|, and r runs over [0, 4].  Returns (masses,
+    r_edges, phi_edges) with masses of shape (grid, 2 grid) including the
+    r Jacobian.
     """
-    r_edges = np.linspace(0.0, r_max, grid + 1)
+    r_edges = np.linspace(0.0, 4.0, grid + 1)
     phi_edges = np.linspace(-math.pi, math.pi, 2 * grid + 1)
     rc = 0.5 * (r_edges[:-1] + r_edges[1:])
     pc = 0.5 * (phi_edges[:-1] + phi_edges[1:])
@@ -186,16 +168,14 @@ def polar_reference_masses(d: int, beta: float, grid: int, r_max: float = 4.0):
     return w / w.sum(), r_edges, phi_edges
 
 
-def reference_grid_sampler(d: int, beta: float, n: int, grid: int,
-                           count: int, seed: int) -> EmpiricalDistribution:
-    """Quadrature sampler for the Gibbs target exp(-beta L), plane only.
+def reference_grid_sampler(d: int, beta: float, grid: int, count: int,
+                           seed: int) -> EmpiricalDistribution:
+    """Quadrature sampler for the Gibbs target exp(-beta L) in the plane.
 
     Only n = 2 admits an exact tractable reference; higher dimensions are
     checked through scaling laws instead.  Inverse-CDF over polar cell
     masses with in-cell jitter; z* is the unit vector e1.
     """
-    if n != 2:
-        raise ValueError(f"reference sampler supports n=2 only, got n={n}")
     masses, r_edges, phi_edges = polar_reference_masses(d, beta, grid)
     flat = masses.ravel()
     rng = np.random.default_rng(seed)
@@ -214,24 +194,29 @@ def reference_grid_sampler(d: int, beta: float, n: int, grid: int,
 # chain diagnostics
 
 
-def hitting_time(run: EnsembleRun, region: RegionSpec) -> np.ndarray:
+def hitting_time(run: EnsembleRun, center, radius: float) -> np.ndarray:
     """Per chain, the step of its first recorded state inside the ball
-    (-1 for a chain that never enters)."""
-    inside = np.linalg.norm(run.states - region.center,
-                            axis=-1) <= region.radius
+    ||z - center|| <= radius, radius > 0 (-1 for a chain that never
+    enters)."""
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    inside = np.linalg.norm(run.states - np.asarray(center, dtype=float),
+                            axis=-1) <= radius
     return np.where(inside.any(axis=0),
                     run.step_indices[np.argmax(inside, axis=0)], -1)
 
 
-def tail_statistics(run: EnsembleRun, beta: float, eta: float, A: float,
-                    a: float = 0.2, norm_const: float = 10.0) -> TailReport:
+def tail_statistics(run: EnsembleRun, beta: float, eta: float,
+                    A: float) -> TailReport:
     """Tail frequencies of the chain norm against both closed-form bounds.
 
     Escape: fraction of chains whose recorded norm ever drops below
-    0.9 A - a at a step >= 3/eta, with the bound exp(-beta a^2 / 4) and a
-    95% Wilson interval.  Norm growth: pooled frequency of
-    ||x_t|| >= (1 - eta/2)^t ||x_0|| + C + C sqrt(n / beta) with C = 10.
+    0.9 A - a at a step >= 3/eta, with a = 0.2, the bound
+    exp(-beta a^2 / 4) and a 95% Wilson interval.  Norm growth: pooled
+    frequency of ||x_t|| >= (1 - eta/2)^t ||x_0|| + C + C sqrt(n / beta)
+    with C = 10.
     """
+    a, norm_const = 0.2, 10.0
     t_min = math.ceil(3.0 / eta)
     threshold = 0.9 * A - a
     late = run.step_indices >= t_min
@@ -247,8 +232,7 @@ def tail_statistics(run: EnsembleRun, beta: float, eta: float, A: float,
                       escape_bound=math.exp(-beta * a * a / 4.0),
                       escape_ci_low=lo, escape_ci_high=hi,
                       norm_exceed_frequency=int(np.sum(norms >= growth))
-                      / norms.size,
-                      chains=chains, threshold=threshold, t_min=t_min)
+                      / norms.size)
 
 
 def min_hessian_eig(x, z_star, d: int, n: int):
@@ -267,31 +251,29 @@ def min_hessian_eig(x, z_star, d: int, n: int):
 
 
 def potential_drift(x, z_star, d: int, params: ModifiedLossParams,
-                    cfg: LangevinConfig, trials: int,
-                    eta_override: float | None = None) -> DriftReport:
+                    eta: float, trials: int, seed: int) -> DriftReport:
     """Monte-Carlo mean of V(one Langevin step from x) - V(x).
 
-    The chain steps on the smoothed loss; V is the drift potential.
-    eta_override (allowed to be 0, unlike LangevinConfig) exists for the
-    zero-step sanity limit.
+    The chain steps on the smoothed loss at step size eta >= 0 (0 is the
+    zero-step sanity limit) and inverse temperature params.beta, the one
+    script_LV uses; V is the drift potential.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    eta = cfg.eta if eta_override is None else eta_override
     if eta < 0:
         raise ValueError("step size must be nonnegative")
     x = np.asarray(x, dtype=float)
     v0 = potential(x, z_star, d, params)[0]
     _, g = modified_loss(x, z_star, d, params)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     noise = rng.standard_normal((trials, x.shape[0]))
-    x1 = x - eta * g + math.sqrt(2.0 * eta / cfg.beta) * noise
+    x1 = x - eta * g + math.sqrt(2.0 * eta / params.beta) * noise
     v1 = potential(x1, z_star, d, params)[0]
     delta = v1 - v0
     mean = float(np.mean(delta))
     sem = float(np.std(delta, ddof=1) / math.sqrt(trials))
     return DriftReport(mean_delta=mean, ci_low=mean - _Z95 * sem,
-                       ci_high=mean + _Z95 * sem, trials=trials, eta=eta)
+                       ci_high=mean + _Z95 * sem)
 
 
 def discretization_gap(potential_grad, z0, eta: float, refinement: int,

@@ -25,8 +25,6 @@ __all__ = [
     "MeasurementMap",
     "gaussian_map",
     "InverseProblem",
-    "WdcReport",
-    "ProximityReport",
     "build_generator",
     "forward",
     "split_forward",
@@ -44,14 +42,11 @@ class ReluGenerator:
     """Feed-forward ReLU generator; weights are read-only after init.
 
     dims = (n_0, ..., n_d); weights[i] has shape (n_{i+1} given 0-based i)
-    x (n_i); each layer computes relu(scale * W x).  seed is None for
-    hand-set weights.
+    x (n_i); each layer computes relu(sqrt(2) W x).
     """
 
     dims: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
-    scale: float = _SQRT2
-    seed: int | None = None
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.dims)
@@ -76,8 +71,6 @@ class ReluGenerator:
             w.flags.writeable = False
             ws.append(w)
         object.__setattr__(self, "weights", tuple(ws))
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive, got {self.scale}")
 
     @property
     def depth(self) -> int:
@@ -160,26 +153,6 @@ class InverseProblem:
             object.__setattr__(self, "mask", mk)
 
 
-@dataclass(frozen=True)
-class WdcReport:
-    """Spectral deviation of one layer's masked Gram sum from Q_{x,y}."""
-
-    deviation: float
-    pair_angle: float
-    n_rows: int
-    k: int
-
-
-@dataclass(frozen=True)
-class ProximityReport:
-    """Normalized gap between empirical and idealized latent gradients."""
-
-    max_ratio: float
-    median_ratio: float
-    sample_count: int
-    seed: int
-
-
 # ---------------------------------------------------------------------------
 # construction and forward pass
 
@@ -199,7 +172,7 @@ def build_generator(dims, seed: int) -> ReluGenerator:
         rng.standard_normal((dims[i + 1], dims[i])) / math.sqrt(dims[i + 1])
         for i in range(len(dims) - 1)
     )
-    return ReluGenerator(dims=dims, weights=weights, seed=int(seed))
+    return ReluGenerator(dims=dims, weights=weights)
 
 
 def forward(G: ReluGenerator, z):
@@ -219,7 +192,7 @@ def forward(G: ReluGenerator, z):
         pre = x @ w.T
         m = pre > 0.0
         masks.append(m)
-        x = G.scale * np.where(m, pre, 0.0)
+        x = _SQRT2 * np.where(m, pre, 0.0)
     return x, masks
 
 
@@ -234,16 +207,16 @@ def split_forward(G: ReluGenerator, split_layer: int):
         raise ValueError(f"split_layer must be in [1, {d - 1}], got {split_layer}")
     return (
         ReluGenerator(dims=G.dims[: split_layer + 1],
-                      weights=G.weights[: split_layer], scale=G.scale),
+                      weights=G.weights[: split_layer]),
         ReluGenerator(dims=G.dims[split_layer:],
-                      weights=G.weights[split_layer:], scale=G.scale),
+                      weights=G.weights[split_layer:]),
     )
 
 
 def _backprop(G: ReluGenerator, masks, v):
     """Pull a cotangent at the output back to the latent input."""
     for w, m in zip(reversed(G.weights), reversed(masks)):
-        v = G.scale * (np.where(m, v, 0.0) @ w)
+        v = _SQRT2 * (np.where(m, v, 0.0) @ w)
     return v
 
 
@@ -272,35 +245,13 @@ def empirical_loss_grad(problem: InverseProblem, z):
 # concentration diagnostics
 
 
-def _spectral_norm_symmetric(R: np.ndarray, tol: float = 1e-8,
-                             max_iter: int = 10_000) -> float:
-    """Largest |eigenvalue| of a symmetric matrix by power iteration.
-
-    Deterministic randomized start; k here is tiny so cost is negligible.
-    """
-    k = R.shape[0]
-    v = np.random.default_rng(0).standard_normal(k)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = R @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - lam) <= tol * max(1.0, nw):
-            return nw
-        lam = nw
-    return lam
-
-
-def wdc_deviation(W, x, y) -> WdcReport:
+def wdc_deviation(W, x, y) -> float:
     """Deviation || sum_{w_i x>0, w_i y>0} w_i w_i^T - Q_{x,y} ||_2.
 
     Q_{x,y} = ((pi - theta0)/(2 pi)) I + (sin(theta0)/(2 pi)) M where
     theta0 is the angle between x and y and M is the isometry swapping
-    xhat and yhat (zero on their orthocomplement).  Spectral norm by
-    power iteration to 1e-8.
+    xhat and yhat (zero on their orthocomplement).  The difference is
+    symmetric, so its spectral norm is its largest |eigenvalue|.
     """
     W = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -332,9 +283,7 @@ def wdc_deviation(W, x, y) -> WdcReport:
     both = (W @ xh > 0.0) & (W @ yh > 0.0)
     Wb = W[both]
     R = Wb.T @ Wb - Q
-    dev = _spectral_norm_symmetric(R)
-    return WdcReport(deviation=dev, pair_angle=theta0,
-                     n_rows=W.shape[0], k=k)
+    return float(np.max(np.abs(np.linalg.eigvalsh(R))))
 
 
 def rric_deviation(A: MeasurementMap, G: ReluGenerator, x1, x2, x3, x4) -> float:
@@ -354,16 +303,15 @@ def rric_deviation(A: MeasurementMap, G: ReluGenerator, x1, x2, x3, x4) -> float
     return abs(inner_measured - inner_true) / (n12 * n34)
 
 
-def gradient_proximity(G: ReluGenerator, A: MeasurementMap | None, z_star,
-                       sample_count: int, seed: int) -> ProximityReport:
+def gradient_proximity(G: ReluGenerator, z_star, sample_count: int,
+                       seed: int) -> np.ndarray:
     """Measured gap between the empirical and idealized latent gradients.
 
     Draws sample_count latents z uniform in direction with radius uniform
-    on [0.25, 2] ||z*||, and reports max and median of
+    on [0.25, 2] ||z*||, and returns for each the ratio
     ||grad Ltilde(z) - grad L(z)|| / ((||z|| + 1) ||z*||), where Ltilde
-    uses y = A G(z*) noise-free and grad L is the idealized landscape
-    gradient rescaled to ambient loss units (||z*||^2 factor).
-    A = None measures with the identity.
+    is the fully observed loss with y = G(z*) and grad L is the idealized
+    landscape gradient rescaled to ambient loss units (||z*||^2 factor).
     """
     from .landscape import ideal_gradient
 
@@ -371,10 +319,9 @@ def gradient_proximity(G: ReluGenerator, A: MeasurementMap | None, z_star,
     s = float(np.linalg.norm(z_star))
     if s == 0.0:
         raise ValueError("z_star must be nonzero")
-    if A is None:
-        A = MeasurementMap(matrix=None, m=G.output_dim)
-    y = A.apply(forward(G, z_star)[0])
-    problem = InverseProblem(generator=G, map=A, y=y)
+    problem = InverseProblem(
+        generator=G, map=MeasurementMap(matrix=None, m=G.output_dim),
+        y=forward(G, z_star)[0])
 
     rng = np.random.default_rng(seed)
     n0 = G.latent_dim
@@ -385,8 +332,5 @@ def gradient_proximity(G: ReluGenerator, A: MeasurementMap | None, z_star,
 
     _, g_emp = empirical_loss_grad(problem, Z)
     g_ideal = (s * s) * ideal_gradient(Z, z_star, G.depth)
-    ratios = np.linalg.norm(g_emp - g_ideal, axis=1) \
+    return np.linalg.norm(g_emp - g_ideal, axis=1) \
         / ((np.linalg.norm(Z, axis=1) + 1.0) * s)
-    return ProximityReport(max_ratio=float(np.max(ratios)),
-                           median_ratio=float(np.median(ratios)),
-                           sample_count=int(sample_count), seed=int(seed))

@@ -242,9 +242,9 @@ def c05_gradient_proximity(seed: int) -> CheckResult:
     for expansion in (4, 16, 64):
         dims = [k, k * expansion, k * expansion * expansion]
         G = gen.build_generator(dims, seed=seed + expansion)
-        rep = gen.gradient_proximity(G, None, z_star, sample_count=200,
-                                     seed=seed + 9)
-        medians.append(rep.median_ratio)
+        ratios = gen.gradient_proximity(G, z_star, sample_count=200,
+                                        seed=seed + 9)
+        medians.append(float(np.median(ratios)))
     ok = medians[0] > medians[1] > medians[2]
     return CheckResult("c05_gradient_proximity",
                        statistic=min(a - b for a, b in zip(medians, medians[1:])),
@@ -295,7 +295,7 @@ def c07_escape(seed: int) -> CheckResult:
     cfg = smp.LangevinConfig(eta=eta, beta=beta, steps=steps,
                              seed=seed + 71, record_every=25)
     run = smp.run_langevin_ensemble(pg, z0, cfg)
-    rep = diag.tail_statistics(run, beta=beta, eta=eta, A=A, a=0.2)
+    rep = diag.tail_statistics(run, beta=beta, eta=eta, A=A)
     passed = (rep.escape_ci_high <= rep.escape_bound + 0.05
               and rep.norm_exceed_frequency == 0.0)
     return CheckResult("c07_escape", statistic=rep.escape_ci_high,
@@ -316,7 +316,6 @@ def c08_hitting_time(seed: int) -> CheckResult:
     chains = 50
     zs = np.zeros(n)
     zs[0] = 1.0
-    region = diag.RegionSpec(center=zs, radius=0.3)
     z0_single = 1.3 * (math.cos(2.6) * np.eye(n)[0] + math.sin(2.6) * np.eye(n)[1])
     z0 = np.tile(z0_single, (chains, 1))
 
@@ -328,7 +327,7 @@ def c08_hitting_time(seed: int) -> CheckResult:
         cfg = smp.LangevinConfig(eta=eta, beta=beta, steps=steps,
                                  seed=seed + 81, record_every=1)
         taus = diag.hitting_time(smp.run_langevin_ensemble(pg, z0, cfg),
-                                 region)
+                                 zs, 0.3)
         if np.any(taus < 0):
             return CheckResult("c08_hitting_time", statistic=math.nan,
                                bound=2.8, ci_low=None, ci_high=None,
@@ -489,7 +488,7 @@ def c12_determinism(seed: int) -> CheckResult:
                 out = Path(tmp) / rep
                 out.mkdir()
                 cfg = validate_config(mode, raw, out_dir=str(out))
-                experiment.run_experiment(cfg, strict_checks=False)
+                experiment.run_experiment(cfg)
                 outputs.append(sorted(p for p in out.rglob("*") if p.is_file()))
             names_a = [p.name for p in outputs[0]]
             names_b = [p.name for p in outputs[1]]

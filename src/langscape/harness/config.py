@@ -96,7 +96,7 @@ _COMMON = {
 SCHEMAS: dict[str, dict[str, tuple]] = {
     "landscape": {
         **_COMMON,
-        "d": (*_COUNT, _REQUIRED),
+        "d": (*_bounded(_int, "integer >= 2", lambda v: v >= 2), _REQUIRED),
         "n": (*_bounded(_int, "integer >= 2", lambda v: v >= 2), _REQUIRED),
         "r_points": (*_COUNT, 48),
         "theta_points": (*_COUNT, 49),
@@ -119,7 +119,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     },
     "mix": {
         **_COMMON,
-        "d": (*_COUNT, 2),
+        "d": (*_bounded(_int, "integer >= 2", lambda v: v >= 2), 2),
         "beta": (*_POSITIVE, 40.0),
         "eta": (*_POSITIVE, 1e-3),
         "chains": (*_COUNT, 200),

@@ -163,7 +163,7 @@ def _wdc_rows(p: dict, seed: int) -> list[tuple]:
             W = rng.standard_normal((n, k)) / math.sqrt(n)
             x = rng.standard_normal(k)
             y = rng.standard_normal(k)
-            devs.append(gen.wdc_deviation(W, x, y).deviation)
+            devs.append(gen.wdc_deviation(W, x, y))
         rows.append(_deviation_row(n, devs))
     return rows
 
@@ -238,7 +238,7 @@ def _mix_curve(p: dict, seed: int):
                               seed=seed + 61,
                               record_every=math.gcd(*snapshots))
     run = smp.run_langevin_ensemble(pg, z0, lcfg)
-    ref = diag.reference_grid_sampler(d, beta, 2, grid=p["grid"],
+    ref = diag.reference_grid_sampler(d, beta, grid=p["grid"],
                                       count=p["chains"], seed=seed + 62)
     recorded = set(run.step_indices.tolist())
     rows = [(int(t), float(diag.sliced_w1(run.snapshot(t), ref.samples,
@@ -389,7 +389,7 @@ def _run_posterior(cfg, out: Path):
     return artifacts, summary, 5 if aborted else 0
 
 
-def _run_theory_check(cfg, out: Path, strict: bool):
+def _run_theory_check(cfg, out: Path):
     p = cfg.params
     ids = p["checks"] or None
     t0 = time.monotonic()
@@ -409,25 +409,20 @@ def _run_theory_check(cfg, out: Path, strict: bool):
           f"passed in {time.monotonic() - t0:.1f}s", file=sys.stderr)
     summary = {"all_pass": all_pass,
                "failed": [r.check_id for r in results if not r.passed]}
-    code = 0 if (all_pass or not strict) else 3
-    return ["theory_report.json"], summary, code
+    return ["theory_report.json"], summary, 0 if all_pass else 3
 
 
 _RUNNERS = {"landscape": _run_landscape, "wdc": _run_deviation,
             "rric": _run_deviation, "mix": _run_mix, "invert": _run_invert,
-            "posterior": _run_posterior}
+            "posterior": _run_posterior, "theory-check": _run_theory_check}
 
 
-def run_experiment(config: ExperimentConfig, strict_checks: bool = True) -> int:
+def run_experiment(config: ExperimentConfig) -> int:
     """Execute one validated config; returns the process exit code."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
-    if config.mode == "theory-check":
-        artifacts, summary, code = _run_theory_check(config, out,
-                                                     strict_checks)
-    else:
-        artifacts, summary, code = _RUNNERS[config.mode](config, out)
+    artifacts, summary, code = _RUNNERS[config.mode](config, out)
     result = {"mode": config.mode, "config_hash": config.hash(),
               "params": config.params, "artifacts": sorted(artifacts),
               "summary": summary}

@@ -97,6 +97,10 @@ class ModifiedLossParams:
     @classmethod
     def for_depth(cls, d: int, xi: float = 10.0, lam: float = 0.1,
                   beta: float = 1.0) -> "ModifiedLossParams":
+        """Half the saddle radius as r0; d >= 2, since at d = 1 the saddle
+        sits at the origin (cos(g(pi)) = 0) and the plateau vanishes."""
+        if d < 2:
+            raise ValueError(f"depth must be >= 2, got {d}")
         return cls(r0=saddle_radius(d) / 2.0, xi=xi, lam=lam, beta=beta)
 
 
@@ -180,15 +184,9 @@ def theta_chain(theta, d: int) -> ThetaChain:
     return ThetaChain(T, P, S)
 
 
-_SADDLE_CACHE: dict[int, float] = {}
-
-
 def saddle_radius(d: int) -> float:
     """cos(g^(d)(pi)): the distance from the origin to the saddle -A z*."""
-    d = int(d)
-    if d not in _SADDLE_CACHE:
-        _SADDLE_CACHE[d] = math.cos(theta_chain(math.pi, d).theta_d)
-    return _SADDLE_CACHE[d]
+    return math.cos(theta_chain(math.pi, int(d)).theta_d)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "LangevinConfig",
     "Trajectory",
     "EnsembleRun",
-    "L1ProjectionSpec",
     "run_langevin_ensemble",
     "run_gd",
     "project_l1",
@@ -107,20 +106,6 @@ class EnsembleRun:
         return self.states[hits[0]]
 
 
-@dataclass(frozen=True)
-class L1ProjectionSpec:
-    """l1 ball {x : ||x - center||_1 <= radius}; radius may be inf."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        object.__setattr__(self, "center", c)
-        if not self.radius >= 0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-
-
 def _trajectory(states, losses, step_indices, aborted) -> Trajectory:
     return Trajectory(states=states, losses=losses, step_indices=step_indices,
                       aborted_at=None if aborted < 0 else int(aborted))
@@ -144,39 +129,42 @@ def _chain(potential_grad, z0, eta, sigma, steps, record_every, noise=None,
     at its state of step k - 1 and aborted records k (-1 for a chain that
     runs to the end); the loop ends once every chain has stopped.  The
     per-step test is on the whole array; the per-chain mask is only built
-    once it fails.  Returns (states, losses, step_indices, aborted).
+    once it fails.  That rule handles every non-finite value, so numpy's
+    floating-point warnings are silenced inside the loop.  Returns
+    (states, losses, step_indices, aborted).
     """
     z = np.array(z0, dtype=float)
-    u, g = potential_grad(z)
-    states, losses, idx = [z], [np.array(u, dtype=float)], [0]
-    live = _finite_rows(u, g)
-    aborted = np.where(live, -1, 0)
-    g = np.where(live[..., None], g, 0.0)
-    halted = not live.all()
-    for step in range(1, steps + 1 if live.any() else 1):
-        z_next = z - eta * g
-        if sigma:
-            z_next = z_next + sigma * noise()
-        if project is not None:
-            z_next = project(z_next)
-        if halted:
-            z_next = np.where(live[..., None], z_next, z)
-        u_next, g_next = potential_grad(z_next)
-        if not (np.isfinite(u_next).all() and np.isfinite(g_next).all()):
-            bad = ~_finite_rows(u_next, g_next)
-            aborted = np.where(bad & live, step, aborted)
-            live = live & ~bad
-            if not live.any():
-                break
-            halted = True
-            z_next = np.where(bad[..., None], z, z_next)
-            u_next = np.where(bad, u, u_next)
-            g_next = np.where(bad[..., None], 0.0, g_next)
-        z, u, g = z_next, u_next, g_next
-        if step % record_every == 0 or step == steps:
-            states.append(z)
-            losses.append(np.array(u, dtype=float))
-            idx.append(step)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u, g = potential_grad(z)
+        states, losses, idx = [z], [np.array(u, dtype=float)], [0]
+        live = _finite_rows(u, g)
+        aborted = np.where(live, -1, 0)
+        g = np.where(live[..., None], g, 0.0)
+        halted = not live.all()
+        for step in range(1, steps + 1 if live.any() else 1):
+            z_next = z - eta * g
+            if sigma:
+                z_next = z_next + sigma * noise()
+            if project is not None:
+                z_next = project(z_next)
+            if halted:
+                z_next = np.where(live[..., None], z_next, z)
+            u_next, g_next = potential_grad(z_next)
+            if not (np.isfinite(u_next).all() and np.isfinite(g_next).all()):
+                bad = ~_finite_rows(u_next, g_next)
+                aborted = np.where(bad & live, step, aborted)
+                live = live & ~bad
+                if not live.any():
+                    break
+                halted = True
+                z_next = np.where(bad[..., None], z, z_next)
+                u_next = np.where(bad, u, u_next)
+                g_next = np.where(bad[..., None], 0.0, g_next)
+            z, u, g = z_next, u_next, g_next
+            if step % record_every == 0 or step == steps:
+                states.append(z)
+                losses.append(np.array(u, dtype=float))
+                idx.append(step)
     return (np.array(states), np.array(losses), np.array(idx, dtype=int),
             aborted)
 
@@ -214,53 +202,53 @@ def run_gd(potential_grad, z0, eta: float, steps: int,
                                record_every))
 
 
-def project_l1(v, spec: L1ProjectionSpec) -> np.ndarray:
+def project_l1(v, center, radius: float) -> np.ndarray:
     """Euclidean projection onto the l1 ball ||x - center||_1 <= radius.
 
     Sort-and-threshold soft shrinkage: exact, O(p log p).  Points already
-    inside are returned unchanged.
+    inside are returned unchanged.  radius must be >= 0 and may be inf.
     """
+    if not radius >= 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     v = np.asarray(v, dtype=float)
-    w = v - spec.center
+    center = np.asarray(center, dtype=float)
+    w = v - center
     a = np.abs(w)
-    if a.sum() <= spec.radius:
+    if a.sum() <= radius:
         return v.copy()
-    if spec.radius == 0.0:
-        return spec.center.copy()
+    if radius == 0.0:
+        return center.copy()
     u = np.sort(a)[::-1]
-    css = np.cumsum(u) - spec.radius
+    css = np.cumsum(u) - radius
     j = np.arange(1, len(u) + 1)
     rho = int(np.nonzero(u > css / j)[0][-1])
     tau = css[rho] / (rho + 1.0)
-    return spec.center + np.sign(w) * np.maximum(a - tau, 0.0)
+    return center + np.sign(w) * np.maximum(a - tau, 0.0)
 
 
 def run_ilo_baseline(problem: InverseProblem, split_layer: int, radius: float,
-                     eta: float, steps: int, z0=None, seed: int = 0) -> Trajectory:
+                     eta: float, steps: int, z0) -> Trajectory:
     """Projected GD on an intermediate layer (the l1 sparse-deviations
     baseline).
 
     The generator splits as G = G2 o G1 at split_layer; the optimization
     variable is w in R^{n_split}, initialized at the range point G1(z0)
     and projected after every step onto the l1 ball of the given radius
-    around that point.  z0 defaults to a seeded standard normal latent.
-    States in the returned trajectory are intermediate iterates w.
+    (>= 0) around that point.  States in the returned trajectory are
+    intermediate iterates w.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if eta <= 0 or not radius >= 0:
+        raise ValueError(f"need eta > 0 and radius >= 0, got {eta}, {radius}")
     G = problem.generator
     if G is None:
         raise ValueError("problem has no generator attached")
     G1, G2 = split_forward(G, split_layer)
-    if z0 is None:
-        z0 = np.random.default_rng((seed, 0)).standard_normal(G.latent_dim)
     w0 = forward(G1, np.asarray(z0, dtype=float))[0]
-    ball = L1ProjectionSpec(center=w0, radius=radius)
     sub = InverseProblem(generator=G2, map=problem.map, y=problem.y,
                          noise_sigma=problem.noise_sigma, mask=problem.mask)
     return _trajectory(*_chain(lambda w: empirical_loss_grad(sub, w), w0,
                                eta, 0.0, steps, 1,
-                               project=lambda w: project_l1(w, ball)))
+                               project=lambda w: project_l1(w, w0, radius)))
 
 
 def _tail_map(G2, p: int):

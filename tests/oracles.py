@@ -81,6 +81,30 @@ def l1_projection_slsqp(point, center, radius):
     return res.x
 
 
+def wdc_deviation_svd(W, x, y):
+    """The WDC deviation from an explicit row sum and an SVD norm.
+
+    The swap isometry is written in closed form from xhat and yhat,
+    M = ((xhat yhat^T + yhat xhat^T) - cos t (xhat xhat^T + yhat yhat^T))
+    / sin^2 t (angle t in (0, pi)), instead of in a rotated plane basis.
+    """
+    W = np.asarray(W, dtype=float)
+    xh = np.asarray(x, dtype=float) / np.linalg.norm(x)
+    yh = np.asarray(y, dtype=float) / np.linalg.norm(y)
+    k = W.shape[1]
+    c = float(xh @ yh)
+    t = math.acos(c)
+    M = ((np.outer(xh, yh) + np.outer(yh, xh))
+         - c * (np.outer(xh, xh) + np.outer(yh, yh))) / math.sin(t) ** 2
+    Q = (math.pi - t) / (2 * math.pi) * np.eye(k) \
+        + math.sin(t) / (2 * math.pi) * M
+    S = np.zeros((k, k))
+    for w in W:
+        if w @ x > 0 and w @ y > 0:
+            S += np.outer(w, w)
+    return float(np.linalg.norm(S - Q, 2))
+
+
 def sorted_w1_1d(a, b):
     """1-D transport cost equals the mean gap of sorted samples."""
     return float(np.mean(np.abs(np.sort(a) - np.sort(b))))

@@ -85,16 +85,11 @@ def test_polar_reference_masses_normalized_and_peaked():
 
 
 def test_reference_grid_sampler_concentrates_at_minimizer():
-    dist = diag.reference_grid_sampler(2, 250.0, 2, grid=200, count=4000,
+    dist = diag.reference_grid_sampler(2, 250.0, grid=200, count=4000,
                                        seed=SEED + 9)
     assert dist.samples.shape == (4000, 2)
     mean = dist.samples.mean(axis=0)
     assert np.linalg.norm(mean - np.array([1.0, 0.0])) < 0.05
-
-
-def test_reference_grid_sampler_requires_plane():
-    with pytest.raises(ValueError):
-        diag.reference_grid_sampler(2, 10.0, 3, grid=32, count=10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +118,15 @@ def test_hitting_time_first_entry():
     states = np.array([[2.0, 0.0], [1.5, 0.0], [1.05, 0.0], [1.0, 0.0]])
     # chain 1 runs the same path backwards, so it starts inside
     run = _run(np.stack([states, states[::-1]], axis=1))
-    region = diag.RegionSpec(center=np.array([1.0, 0.0]), radius=0.1)
-    assert list(diag.hitting_time(run, region)) == [2, 0]
-    far = diag.RegionSpec(center=np.array([-5.0, 0.0]), radius=0.1)
-    assert list(diag.hitting_time(run, far)) == [-1, -1]
+    assert list(diag.hitting_time(run, np.array([1.0, 0.0]), 0.1)) == [2, 0]
+    assert list(diag.hitting_time(run, np.array([-5.0, 0.0]), 0.1)) \
+        == [-1, -1]
+
+
+def test_hitting_time_rejects_nonpositive_radius():
+    run = _run(np.zeros((2, 1, 2)))
+    with pytest.raises(ValueError, match="radius"):
+        diag.hitting_time(run, np.zeros(2), 0.0)
 
 
 def test_tail_statistics_counts_escapes():
@@ -138,9 +138,7 @@ def test_tail_statistics_counts_escapes():
     norms = np.array([0.95, 0.9, 0.5, 0.3, 0.8])
     states = np.zeros((steps + 1, len(norms), 2))
     states[..., 0] = norms
-    rep = diag.tail_statistics(_run(states), beta=beta, eta=eta, A=A, a=0.2)
-    assert rep.chains == 5
-    assert rep.t_min == t_min
+    rep = diag.tail_statistics(_run(states), beta=beta, eta=eta, A=A)
     assert rep.escape_frequency == pytest.approx(2.0 / 5.0)
     assert rep.escape_bound == pytest.approx(math.exp(-beta * 0.04 / 4.0))
     lo, hi = diag.wilson_interval(2, 5)
@@ -196,9 +194,8 @@ def test_potential_drift_zero_step_is_zero():
     zs[0] = 1.0
     params = ls.ModifiedLossParams.for_depth(2, beta=100.0)
     x = -ls.saddle_radius(2) * zs
-    cfg = smp.LangevinConfig(eta=1e-3, beta=100.0, steps=1, seed=SEED + 11)
-    rep = diag.potential_drift(x, zs, 2, params, cfg, trials=200,
-                               eta_override=0.0)
+    rep = diag.potential_drift(x, zs, 2, params, eta=0.0, trials=200,
+                               seed=SEED + 11)
     assert rep.mean_delta == 0.0
     assert rep.ci_low == 0.0 and rep.ci_high == 0.0
 
@@ -211,9 +208,8 @@ def test_potential_drift_negative_at_saddle():
     zs[0] = 1.0
     params = ls.ModifiedLossParams.for_depth(2, beta=500.0)
     x = -ls.saddle_radius(2) * zs
-    cfg = smp.LangevinConfig(eta=1e-3, beta=500.0, steps=1, seed=SEED + 12)
-    rep = diag.potential_drift(x, zs, 2, params, cfg, trials=40_000)
-    assert rep.trials == 40_000
+    rep = diag.potential_drift(x, zs, 2, params, eta=1e-3, trials=40_000,
+                               seed=SEED + 12)
     assert rep.mean_delta < 0.0
     assert rep.ci_high < 0.0
 
@@ -221,10 +217,9 @@ def test_potential_drift_negative_at_saddle():
 def test_potential_drift_rejects_tiny_trials():
     zs = np.array([1.0, 0.0])
     params = ls.ModifiedLossParams.for_depth(2)
-    cfg = smp.LangevinConfig(eta=1e-3, beta=10.0, steps=1, seed=0)
     with pytest.raises(ValueError):
-        diag.potential_drift(np.array([0.5, 0.0]), zs, 2, params, cfg,
-                             trials=50)
+        diag.potential_drift(np.array([0.5, 0.0]), zs, 2, params, eta=1e-3,
+                             trials=50, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +246,3 @@ def test_discretization_gap_scales_like_sqrt_eta():
                                    seed=SEED + 15, beta=4.0)
     assert coarse > fine > 0.0
     assert 1.5 <= coarse / fine <= 2.8
-
-
-def test_region_spec_validation():
-    with pytest.raises(ValueError):
-        diag.RegionSpec(center=np.zeros(2), radius=0.0)

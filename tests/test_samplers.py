@@ -180,8 +180,7 @@ def test_project_l1_matches_constrained_solver():
             center = rng.standard_normal(dim)
             radius = float(rng.uniform(0.3, 2.0))
             point = center + rng.standard_normal(dim) * 2.0
-            spec = smp.L1ProjectionSpec(center=center, radius=radius)
-            got = smp.project_l1(point, spec)
+            got = smp.project_l1(point, center, radius)
             assert np.sum(np.abs(got - center)) <= radius + 1e-12
 
             # variational inequality: got is the projection iff
@@ -200,21 +199,18 @@ def test_project_l1_matches_constrained_solver():
 
 
 def test_project_l1_interior_is_identity():
-    spec = smp.L1ProjectionSpec(center=np.zeros(3), radius=2.0)
     v = np.array([0.5, -0.5, 0.25])
-    out = smp.project_l1(v, spec)
+    out = smp.project_l1(v, np.zeros(3), 2.0)
     assert np.array_equal(out, v)
     assert out is not v                        # defensive copy
 
 
 def test_project_l1_hand_values():
-    spec = smp.L1ProjectionSpec(center=np.zeros(2), radius=1.0)
-    assert np.allclose(smp.project_l1(np.array([3.0, 0.0]), spec),
+    assert np.allclose(smp.project_l1(np.array([3.0, 0.0]), np.zeros(2), 1.0),
                        [1.0, 0.0])
-    assert np.allclose(smp.project_l1(np.array([1.0, 1.0]), spec),
+    assert np.allclose(smp.project_l1(np.array([1.0, 1.0]), np.zeros(2), 1.0),
                        [0.5, 0.5])
-    degenerate = smp.L1ProjectionSpec(center=np.ones(2), radius=0.0)
-    assert np.allclose(smp.project_l1(np.array([5.0, 5.0]), degenerate),
+    assert np.allclose(smp.project_l1(np.array([5.0, 5.0]), np.ones(2), 0.0),
                        [1.0, 1.0])
 
 
@@ -250,7 +246,20 @@ def test_ilo_baseline_requires_generator():
         y=np.zeros(4))
     with pytest.raises(ValueError):
         smp.run_ilo_baseline(problem, split_layer=1, radius=1.0, eta=0.1,
-                             steps=5)
+                             steps=5, z0=np.zeros(4))
+
+
+def test_negative_l1_radius_is_rejected():
+    with pytest.raises(ValueError, match="radius"):
+        smp.project_l1(np.ones(3), np.zeros(3), -0.5)
+    G = gen.build_generator([2, 6, 12], seed=SEED + 29)
+    problem = gen.InverseProblem(
+        generator=G, map=gen.MeasurementMap(matrix=None, m=12),
+        y=np.zeros(12))
+    # rejected before any step, so even a run of no steps
+    with pytest.raises(ValueError, match="radius"):
+        smp.run_ilo_baseline(problem, split_layer=1, radius=-1.0, eta=0.1,
+                             steps=0, z0=np.ones(2))
 
 
 # ---------------------------------------------------------------------------
