@@ -240,14 +240,14 @@ def min_hessian_eig(x, z_star, d: int, n: int):
 
     Exact from the polar coefficients: the smaller of the radial and
     tangential ones and, for n >= 3, the (n-2)-fold coefficient of the
-    rotational directions.  A float for one point x of shape (n,), an
-    array over the leading axes of a batch.
+    rotational directions.  n must equal x.shape[-1]; the result has the
+    leading shape of x (shape () for one point).
     """
-    c_rr, c_tt, c_psi, _ = ideal_hessian(x, z_star, d, n)
+    if np.shape(x)[-1:] != (n,):
+        raise ValueError(f"x has shape {np.shape(x)}, expected (..., {n})")
+    c_rr, c_tt, c_psi, _ = ideal_hessian(x, z_star, d)
     lam_min = 0.5 * (c_rr + c_tt) - np.abs(0.5 * (c_rr - c_tt))
-    if n >= 3:
-        lam_min = np.minimum(lam_min, c_psi)
-    return float(lam_min) if np.ndim(x) == 1 else lam_min
+    return np.minimum(lam_min, c_psi) if n >= 3 else lam_min
 
 
 def potential_drift(x, z_star, d: int, params: ModifiedLossParams,

@@ -225,7 +225,8 @@ def empirical_loss_grad(problem: InverseProblem, z):
     gradient via activation-pattern backprop.
 
     The gradient is exact wherever no preactivation is zero; at a kink the
-    inactive-side subgradient is returned.  Batched z gives batched output.
+    inactive-side subgradient is returned.  The loss has the leading shape
+    of z (shape () for one latent).
     """
     G = problem.generator
     if G is None:
@@ -235,10 +236,7 @@ def empirical_loss_grad(problem: InverseProblem, z):
     if problem.mask is not None:
         residual = np.where(problem.mask, residual, 0.0)
     loss = 0.5 * np.sum(residual * residual, axis=-1)
-    grad = _backprop(G, masks, problem.map.apply_transpose(residual))
-    if np.asarray(z).ndim == 1:
-        return float(loss), grad
-    return loss, grad
+    return loss, _backprop(G, masks, problem.map.apply_transpose(residual))
 
 
 # ---------------------------------------------------------------------------

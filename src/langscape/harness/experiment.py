@@ -38,17 +38,24 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _finite_or_none(v):
+    """v with every non-finite float inside it replaced by None."""
+    if isinstance(v, dict):
+        return {k: _finite_or_none(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_none(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def _write_json(path: Path, obj) -> None:
+    """Strict JSON: a float with no finite value is written as null."""
+    _atomic_write(path, json.dumps(_finite_or_none(obj), indent=2,
+                                   sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "".join(",".join(map(str, row)) + "\n"
+                                for row in [header, *rows]))
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -118,26 +125,25 @@ def _run_landscape(cfg, out: Path):
     zs[0] = 1.0
     r_vals = np.linspace(p["r_max"] / p["r_points"], p["r_max"], p["r_points"])
     t_vals = np.linspace(0.0, math.pi, p["theta_points"])
-    rows = []
-    for r in r_vals:
-        for t in t_vals:
-            x = r * (math.cos(t) * np.eye(n)[0] + math.sin(t) * np.eye(n)[1])
-            loss = ls.ideal_loss(x, zs, d)
-            mval, _ = ls.modified_loss(x, zs, d, params)
-            v, _, script = ls.potential(x, zs, d, params)
-            eig = diag.min_hessian_eig(x, zs, d, n)
-            rows.append((float(r), float(t), float(loss), float(mval),
-                         float(v), float(script), float(eig)))
+    # the r-major grid in the (e1, e2) plane; np.cos may differ from
+    # math.cos in the last bit
+    R, T = (a.ravel() for a in np.meshgrid(r_vals, t_vals, indexing="ij"))
+    X = np.zeros((R.size, n))
+    X[:, 0] = R * [math.cos(t) for t in T]
+    X[:, 1] = R * [math.sin(t) for t in T]
+    loss = ls.ideal_loss(X, zs, d)
+    columns = (R, T, loss, ls.modified_loss(X, zs, d, params)[0],
+               *ls.potential(X, zs, d, params)[::2],
+               diag.min_hessian_eig(X, zs, d, n))
+    rows = list(zip(*(c.tolist() for c in columns)))
     _write_csv(out / "landscape_scan.csv",
                ["r", "theta", "loss", "loss_modified", "potential",
                 "generator_functional", "min_hessian_eig"], rows)
     artifacts = ["landscape_scan.csv"]
     if p["svg"]:
-        by_theta = {}
-        for label, t_idx in (("theta=0", 0), ("theta=pi", len(t_vals) - 1)):
-            by_theta[label] = [rows[i * len(t_vals) + t_idx][2]
-                               for i in range(len(r_vals))]
-        _write_svg(out / "landscape_sections.svg", r_vals, by_theta,
+        by_r = loss.reshape(r_vals.size, t_vals.size)
+        _write_svg(out / "landscape_sections.svg", r_vals,
+                   {"theta=0": by_r[:, 0], "theta=pi": by_r[:, -1]},
                    f"loss vs radius (d={d}, n={n})")
         artifacts.append("landscape_sections.svg")
     summary = {"saddle_radius": ls.saddle_radius(d),
@@ -277,7 +283,8 @@ def _invert_one(p: dict, seed: int, run_id: int):
     z_true = rng.standard_normal(dims[0])
     y = gen.forward(G, z_true)[0]
     if p["noise_sigma"] > 0:
-        y = y + p["noise_sigma"] * rng.standard_normal(dims[-1])
+        with np.errstate(over="ignore"):    # an infinite y stops at step 0
+            y = y + p["noise_sigma"] * rng.standard_normal(dims[-1])
     m_obs = max(1, round(p["mask_fraction"] * dims[-1]))
     mask = np.zeros(dims[-1], dtype=bool)
     mask[rng.choice(dims[-1], size=m_obs, replace=False)] = True
@@ -370,16 +377,14 @@ def _run_posterior(cfg, out: Path):
     dim = pooled.shape[1]
     _write_csv(out / "posterior_samples.csv",
                ["chain"] + [f"x{i}" for i in range(dim)], rows)
-    cov = None
-    if len(pooled) > 1:
-        cov = [[float(v) for v in row]
-               for row in np.cov(pooled.T).reshape(dim, dim)]
-    summary = {"sample_count": int(len(pooled)),
-               "mean": [float(v) for v in pooled.mean(axis=0)],
-               "cov": cov,
+    # null when every chain stopped before its first kept record
+    mean = pooled.mean(axis=0).tolist() if len(pooled) else None
+    cov = np.cov(pooled.T).reshape(dim, dim).tolist() \
+        if len(pooled) > 1 else None
+    summary = {"sample_count": len(pooled), "mean": mean, "cov": cov,
                "aborted_chains": aborted}
     artifacts = ["posterior_samples.csv"]
-    if p["svg"]:
+    if p["svg"] and len(pooled):
         qs = np.linspace(0.0, 1.0, 201)
         series = {f"x{i}": np.quantile(pooled[:, i], qs)
                   for i in range(dim)}
@@ -402,9 +407,7 @@ def _run_theory_check(cfg, out: Path):
               f"bound {r.bound:.6g})")
     all_pass = all(r.passed for r in results)
     report = {"seed": cfg.seed, "all_pass": all_pass, "checks": records}
-    _atomic_write(out / "theory_report.json",
-                  json.dumps(report, indent=2, sort_keys=True,
-                             allow_nan=False) + "\n")
+    _write_json(out / "theory_report.json", report)
     print(f"theory-check: {sum(r.passed for r in results)}/{len(results)} "
           f"passed in {time.monotonic() - t0:.1f}s", file=sys.stderr)
     summary = {"all_pass": all_pass,
@@ -426,9 +429,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     result = {"mode": config.mode, "config_hash": config.hash(),
               "params": config.params, "artifacts": sorted(artifacts),
               "summary": summary}
-    _atomic_write(out / "result.json",
-                  json.dumps(result, indent=2, sort_keys=True,
-                             allow_nan=False) + "\n")
+    _write_json(out / "result.json", result)
     print(f"[{config.mode}] wrote {len(artifacts) + 1} files to {out} "
           f"in {time.monotonic() - t0:.1f}s", file=sys.stderr)
     return code

@@ -19,7 +19,9 @@ All scalar values are reported in units where ||z*|| = 1 (inputs are
 rescaled internally).  Vector outputs are true ambient derivatives of the
 reported scalar fields, so central finite differences agree for any
 ||z*||.  Every operation broadcasts over leading axes of ``x`` / ``theta``
-and is a pure function: safe for concurrent use.
+and returns arrays: a single point x of shape (n,) is a batch of one,
+whose scalar fields have shape ().  Every operation is a pure function:
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -66,12 +68,12 @@ class ThetaChain:
 
     theta_d = g^(d)(theta); theta_d_prime is the product of g' along the
     orbit (stays in [0, 1]); theta_d_double_prime <= 0 by concavity of g.
-    Fields are scalars or arrays matching the input shape.
+    Fields are arrays of the input's shape (shape () for one angle).
     """
 
-    theta_d: float | np.ndarray
-    theta_d_prime: float | np.ndarray
-    theta_d_double_prime: float | np.ndarray
+    theta_d: np.ndarray
+    theta_d_prime: np.ndarray
+    theta_d_double_prime: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,16 +108,6 @@ class ModifiedLossParams:
 
 # ---------------------------------------------------------------------------
 # angle map
-
-
-def _as_angle_array(theta):
-    th = np.asarray(theta, dtype=float)
-    scalar = th.ndim == 0
-    if np.any(np.isinf(th)):
-        raise ValueError("angle must not be infinite")
-    if np.any(th < 0.0) or np.any(th > math.pi):
-        raise ValueError("angle outside the domain [0, pi]")
-    return th, scalar
 
 
 def _g_core(th: np.ndarray):
@@ -170,8 +162,11 @@ def theta_chain(theta, d: int) -> ThetaChain:
         raise TypeError("depth must be an integer")
     if d < 0:
         raise ValueError("depth must be nonnegative")
-    th, scalar = _as_angle_array(theta)
-    T = th.copy()
+    T = np.array(theta, dtype=float)
+    if np.any(np.isinf(T)):
+        raise ValueError("angle must not be infinite")
+    if np.any(T < 0.0) or np.any(T > math.pi):
+        raise ValueError("angle outside the domain [0, pi]")
     P = np.ones_like(T)
     S = np.zeros_like(T)
     for _ in range(int(d)):
@@ -179,8 +174,6 @@ def theta_chain(theta, d: int) -> ThetaChain:
         S = gpp * P * P + gp * S
         P = gp * P
         T = g
-    if scalar:
-        return ThetaChain(float(T), float(P), float(S))
     return ThetaChain(T, P, S)
 
 
@@ -250,10 +243,9 @@ def ideal_loss(x, z_star, d: int):
     r and the value are in units of ||z*||: L(z*) = 0, L(0) = 1/2.
     Broadcasts over leading axes of x.
     """
-    x, _, r, theta, _, _ = _polar_parts(x, z_star)
+    _, _, r, theta, _, _ = _polar_parts(x, z_star)
     c = theta_chain(theta, d)
-    val = 0.5 * r * r - r * np.cos(c.theta_d) + 0.5
-    return float(val) if x.ndim == 1 else val
+    return 0.5 * r * r - r * np.cos(c.theta_d) + 0.5
 
 
 def _ambient_gradient(coef_r, coef_z, rhat, zhat, s, r):
@@ -282,15 +274,15 @@ def ideal_gradient(x, z_star, d: int):
     return _ambient_gradient(coef_r, ratio, rhat, zhat, s, r)
 
 
-def ideal_hessian(x, z_star, d: int, n: int):
+def ideal_hessian(x, z_star, d: int):
     """Polar Hessian coefficients and Laplacian of ideal_loss at x != 0.
 
     Returns (c_rr, c_tt, c_psi, laplacian): in an orthonormal basis
     (rhat, thetahat, psi_1..psi_{n-2}) the Hessian is diag(c_rr, c_tt) on
     the first block and c_psi I on the complement (no mixed term, since
-    L_rtheta = L_theta / r), and laplacian = c_rr + c_tt + (n-2) c_psi;
-    n is the ambient dimension.  Coefficients are ambient second
-    derivatives, i.e. the canonical values divided by ||z*||^2.
+    L_rtheta = L_theta / r), and laplacian = c_rr + c_tt + (n-2) c_psi
+    with n = x.shape[-1].  Coefficients are ambient second derivatives,
+    i.e. the canonical values divided by ||z*||^2.
     """
     x, s, r, theta, _, _ = _polar_parts(x, z_star)
     if np.any(r == 0.0):
@@ -304,10 +296,7 @@ def ideal_hessian(x, z_star, d: int, n: int):
             + np.sin(c.theta_d) * c.theta_d_double_prime) / r / s2
     c_psi = ((r - cos_td) / r
              + _tangential_ratio(theta, c) * np.cos(theta) / r) / s2
-    lap = c_rr + c_tt + (n - 2) * c_psi
-    if x.ndim == 1:
-        return float(c_rr), float(c_tt), float(c_psi), float(lap)
-    return c_rr, c_tt, c_psi, lap
+    return c_rr, c_tt, c_psi, c_rr + c_tt + (x.shape[-1] - 2) * c_psi
 
 
 def hessian_vector_product(x, z_star, d: int, v):
@@ -323,8 +312,8 @@ def hessian_vector_product(x, z_star, d: int, v):
     v = np.asarray(v, dtype=float)
     if v.shape != x.shape:
         raise ValueError("x and v must share one shape (..., n)")
-    c_rr, c_tt, c_psi = (np.asarray(c)[..., None] for c in
-                         ideal_hessian(x, z_star, d, x.shape[-1])[:3])
+    c_rr, c_tt, c_psi = (c[..., None] for c in
+                         ideal_hessian(x, z_star, d)[:3])
     st = np.sin(theta)[..., None]
     off = st >= 1e-8
     that = np.where(off, np.cos(theta)[..., None] * rhat - zhat, 0.0) \
@@ -381,11 +370,10 @@ def modified_loss(x, z_star, d: int, params: ModifiedLossParams):
     ideal_loss / ideal_gradient exactly (the step factors are exactly 1/0
     there); at x = 0 the value is xi and the gradient the zero vector.
     """
-    x, s, r, theta, rhat, zhat = _polar_parts(x, z_star)
+    _, s, r, theta, rhat, zhat = _polar_parts(x, z_star)
     _, _, ratio_h, val, Lhat_r, _ = _smoothed_parts(r, theta, d, params)
-    grad = _ambient_gradient(Lhat_r + ratio_h * np.cos(theta), ratio_h,
-                             rhat, zhat, s, r)
-    return (float(val), grad) if x.ndim == 1 else (val, grad)
+    return val, _ambient_gradient(Lhat_r + ratio_h * np.cos(theta), ratio_h,
+                                  rhat, zhat, s, r)
 
 
 def potential(x, z_star, d: int, params: ModifiedLossParams):
@@ -442,7 +430,4 @@ def potential(x, z_star, d: int, params: ModifiedLossParams):
     L_tan = ratio_h * st                      # Lhat_theta / r
     inner = Lhat_r * (Lhat_r + W_r) + L_tan * (L_tan + w_tan * st)
 
-    script_LV = (lap_Lhat + lap_W - params.beta * inner) / (s * s)
-    if x.ndim == 1:
-        return float(V), grad_V, float(script_LV)
-    return V, grad_V, script_LV
+    return V, grad_V, (lap_Lhat + lap_W - params.beta * inner) / (s * s)

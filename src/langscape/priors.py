@@ -76,11 +76,10 @@ def gmm_log_density_and_score(prior: GaussianMixturePrior, z):
     """log p(z) and its gradient, stabilized with log-sum-exp.
 
     The score is the responsibility-weighted average of the component
-    scores (mean_j - z) / var_j.  z may be a single point (p,) or a batch
-    (..., p); outputs match.
+    scores (mean_j - z) / var_j.  z is a batch (..., p), a single point
+    (p,) being a batch of one: log p has the leading shape of z.
     """
     z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
     if z.shape[-1] != prior.dim:
         raise ValueError(f"z has dimension {z.shape[-1]}, prior is {prior.dim}-d")
     p = prior.dim
@@ -91,10 +90,7 @@ def gmm_log_density_and_score(prior: GaussianMixturePrior, z):
                 - 0.5 * p * np.log(2.0 * math.pi * v))
     logp = _logsumexp(log_comp)
     resp = np.exp(log_comp - logp[..., None])     # responsibilities
-    score = np.sum(resp[..., None] * (-diff / v[:, None]), axis=-2)
-    if single:
-        return float(logp), score
-    return logp, score
+    return logp, np.sum(resp[..., None] * (-diff / v[:, None]), axis=-2)
 
 
 def sample_prior(prior: GaussianMixturePrior, count: int, seed: int) -> np.ndarray:

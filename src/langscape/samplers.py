@@ -7,8 +7,8 @@ batch of chains (a single chain is a batch of one): Langevin ensembles,
 gradient descent (beta = inf), l1-projected intermediate-layer descent
 (the classical sparse-deviations baseline), posterior SGLD on an
 intermediate latent with an exact mixture score, and synchronously
-coupled chain pairs sharing their noise.  A chain whose potential or
-gradient turns non-finite stops at its last finite state.
+coupled chain pairs sharing their noise.  A chain whose state, potential
+or gradient turns non-finite stops at its last finite state.
 
 Potential oracles are callables z -> (U(z), grad U(z)), read-only and
 reentrant; every sampler is a deterministic function of (arguments, seed).
@@ -67,8 +67,8 @@ class Trajectory:
     """Recorded chain states with their potentials.
 
     step_indices maps records to chain steps; aborted_at is the step at
-    which the potential or gradient first turned non-finite (the chain
-    stopped at its state of the step before) or None.
+    which the state, potential or gradient first turned non-finite (the
+    chain stopped at its state of the step before) or None.
     """
 
     states: np.ndarray
@@ -90,7 +90,7 @@ class EnsembleRun:
 
     states has shape (records, chains, dim); losses (records, chains).
     aborted_at[c] is the step at which chain c stopped on a non-finite
-    potential or gradient, -1 if it ran to the end.
+    state, potential or gradient, -1 if it ran to the end.
     """
 
     states: np.ndarray
@@ -111,8 +111,9 @@ def _trajectory(states, losses, step_indices, aborted) -> Trajectory:
                       aborted_at=None if aborted < 0 else int(aborted))
 
 
-def _finite_rows(u, g) -> np.ndarray:
-    return np.isfinite(u) & np.isfinite(g).all(axis=-1)
+def _finite_rows(z, u, g) -> np.ndarray:
+    return np.isfinite(u) & np.isfinite(g).all(axis=-1) \
+        & np.isfinite(z).all(axis=-1)
 
 
 def _chain(potential_grad, z0, eta, sigma, steps, record_every, noise=None,
@@ -125,8 +126,9 @@ def _chain(potential_grad, z0, eta, sigma, steps, record_every, noise=None,
     when sigma == 0.  Records step 0, every record_every-th step and the
     last step.
 
-    A chain whose potential or gradient turns non-finite at step k stops
-    at its state of step k - 1 and aborted records k (-1 for a chain that
+    A chain whose state, potential or gradient turns non-finite at step k
+    (the state is tested too: a ReLU maps NaN to finite values) stops at
+    its state of step k - 1 and aborted records k (-1 for a chain that
     runs to the end); the loop ends once every chain has stopped.  The
     per-step test is on the whole array; the per-chain mask is only built
     once it fails.  That rule handles every non-finite value, so numpy's
@@ -137,7 +139,7 @@ def _chain(potential_grad, z0, eta, sigma, steps, record_every, noise=None,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u, g = potential_grad(z)
         states, losses, idx = [z], [np.array(u, dtype=float)], [0]
-        live = _finite_rows(u, g)
+        live = _finite_rows(z, u, g)
         aborted = np.where(live, -1, 0)
         g = np.where(live[..., None], g, 0.0)
         halted = not live.all()
@@ -150,8 +152,9 @@ def _chain(potential_grad, z0, eta, sigma, steps, record_every, noise=None,
             if halted:
                 z_next = np.where(live[..., None], z_next, z)
             u_next, g_next = potential_grad(z_next)
-            if not (np.isfinite(u_next).all() and np.isfinite(g_next).all()):
-                bad = ~_finite_rows(u_next, g_next)
+            if not (np.isfinite(u_next).all() and np.isfinite(g_next).all()
+                    and np.isfinite(z_next).all()):
+                bad = ~_finite_rows(z_next, u_next, g_next)
                 aborted = np.where(bad & live, step, aborted)
                 live = live & ~bad
                 if not live.any():
@@ -193,8 +196,9 @@ def run_gd(potential_grad, z0, eta: float, steps: int,
            record_every: int = 1) -> Trajectory:
     """Gradient descent z <- z - eta grad U(z), the beta = inf chain.
 
-    A non-finite potential or gradient stops the descent; the trajectory
-    then ends at the last finite state and aborted_at gives the step.
+    A non-finite state, potential or gradient stops the descent; the
+    trajectory then ends at the last finite state and aborted_at gives
+    the step.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -206,7 +210,10 @@ def project_l1(v, center, radius: float) -> np.ndarray:
     """Euclidean projection onto the l1 ball ||x - center||_1 <= radius.
 
     Sort-and-threshold soft shrinkage: exact, O(p log p).  Points already
-    inside are returned unchanged.  radius must be >= 0 and may be inf.
+    inside are returned unchanged.  A point with no threshold in floating
+    point (a non-finite coordinate, or an offset so large that radius is
+    lost in its rounding) gives NaN, which a descent's divergence rule
+    stops on.  radius must be >= 0 and may be inf.
     """
     if not radius >= 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -221,7 +228,10 @@ def project_l1(v, center, radius: float) -> np.ndarray:
     u = np.sort(a)[::-1]
     css = np.cumsum(u) - radius
     j = np.arange(1, len(u) + 1)
-    rho = int(np.nonzero(u > css / j)[0][-1])
+    hits = np.nonzero(u > css / j)[0]
+    if not hits.size:
+        return np.full_like(v, math.nan)
+    rho = int(hits[-1])
     tau = css[rho] / (rho + 1.0)
     return center + np.sign(w) * np.maximum(a - tau, 0.0)
 
@@ -293,7 +303,9 @@ def posterior_sgld(problem: InverseProblem, prior: GaussianMixturePrior,
     if out_dim != (problem.map.m if A is None else A.shape[1]):
         raise ValueError(f"tail output dim {out_dim} differs from the "
                          f"measurement map's input dim")
-    inv_s2 = likelihood_weight / (problem.noise_sigma ** 2)
+    s2 = problem.noise_sigma ** 2       # underflows to 0 below ~1.5e-162
+    inv_s2 = likelihood_weight / s2 if s2 else \
+        (math.inf if likelihood_weight else 0.0)
 
     def potential(w):
         out, aux = apply(w)

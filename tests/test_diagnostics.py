@@ -176,7 +176,7 @@ def test_min_hessian_eig_matches_dense_eigensolver():
         assert batch.shape == (len(points),)
         for x, got in zip(points, batch):
             one = diag.min_hessian_eig(x, zs, 2, n)
-            assert isinstance(one, float)
+            assert np.shape(one) == ()
             assert got == pytest.approx(one, rel=1e-12)
             H_fd = fd_hessian(lambda p: ls.ideal_gradient(p, zs, 2), x)
             want = float(np.linalg.eigvalsh(H_fd).min())
@@ -187,6 +187,12 @@ def test_min_hessian_eig_at_minimizer_is_one():
     zs = np.array([1.0, 0.0, 0.0])
     assert diag.min_hessian_eig(zs, zs, 3, 3) == pytest.approx(1.0,
                                                                abs=1e-12)
+
+
+def test_min_hessian_eig_rejects_a_wrong_n():
+    zs = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="expected"):
+        diag.min_hessian_eig(zs, zs, 3, 2)
 
 
 def test_potential_drift_zero_step_is_zero():

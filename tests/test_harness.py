@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from langscape import diagnostics as diag
 from langscape import landscape as ls
 from langscape.harness import checks as hchecks
 from langscape.harness.cli import main
@@ -23,6 +24,14 @@ def _write_cfg(tmp_path: Path, payload: dict, name: str = "cfg.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _read_strict_json(path: Path) -> dict:
+    """The JSON in a file; NaN and Infinity tokens raise ValueError."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +201,28 @@ def test_cli_landscape_run_writes_declared_artifacts(tmp_path, capsys):
     assert len(csv_lines) == 1 + 6 * 7
 
 
+def test_landscape_scan_equals_single_point_oracles(tmp_path):
+    # reference: the scan as a loop of one-point calls, point for point
+    d, n = 3, 5
+    cfg = _write_cfg(tmp_path, {"d": d, "n": n, "r_points": 4,
+                                "theta_points": 6})
+    out = tmp_path / "out"
+    assert main(["landscape", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "landscape_scan.csv").read_text().splitlines()[1:]
+    params = ls.ModifiedLossParams.for_depth(d)
+    zs = np.eye(n)[0]
+    grid = [tuple(map(float, line.split(",")[:2])) for line in lines]
+    assert len(set(grid)) == 4 * 6 and grid == sorted(grid)   # r-major
+    for line, (r, t) in zip(lines, grid):
+        x = r * (math.cos(t) * np.eye(n)[0] + math.sin(t) * np.eye(n)[1])
+        want = (r, t, ls.ideal_loss(x, zs, d),
+                ls.modified_loss(x, zs, d, params)[0],
+                ls.potential(x, zs, d, params)[0],
+                ls.potential(x, zs, d, params)[2],
+                diag.min_hessian_eig(x, zs, d, n))
+        assert line == ",".join(repr(float(v)) for v in want)
+
+
 def test_cli_svg_artifact_is_wellformed_xml(tmp_path):
     cfg = _write_cfg(tmp_path, {"d": 2, "n": 4, "r_points": 5,
                                 "theta_points": 5, "svg": True})
@@ -283,12 +314,7 @@ def test_cli_theory_report_writes_nan_statistic_as_null(tmp_path,
     cfg = _write_cfg(tmp_path, {"checks": ["c08_hitting_time"]})
     out = tmp_path / "out"
     assert main(["theory-check", "--config", cfg, "--out", str(out)]) == 3
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    report = json.loads((out / "theory_report.json").read_text(),
-                        parse_constant=reject)
+    report = _read_strict_json(out / "theory_report.json")
     assert report["checks"][0]["statistic"] is None
 
 
@@ -437,18 +463,50 @@ def test_cli_mix_overflowing_state_exits_5(tmp_path):
                          2, [])
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 1e-300])
+def test_cli_posterior_chains_stopped_before_burn_in_exit_5(tmp_path, sigma):
+    # 1/sigma^2 is infinite (1e-300 squares to 0), so every chain stops at
+    # step 0, before its first kept record; the SVG is skipped
+    cfg = _write_cfg(tmp_path, {"prior_weights": [1.0], **_PRIOR,
+                                "sigma": sigma, "steps": 400, "chains": 2,
+                                "svg": True})
+    out = tmp_path / "out"
+    assert main(["posterior", "--config", cfg, "--out", str(out)]) == 5
+    result = _read_strict_json(out / "result.json")
+    assert result["artifacts"] == ["posterior_samples.csv"]
+    assert result["summary"] == {"sample_count": 0, "mean": None,
+                                 "cov": None, "aborted_chains": [0, 1]}
+    assert (out / "posterior_samples.csv").read_text() == "chain,x0,x1\n"
+
+
+@pytest.mark.parametrize("raw, aborted, finite", [
+    # y overflows to inf: both descents of both runs stop at step 0
+    ({"noise_sigma": 1e308}, [0, 1], False),
+    # run 1's first projected step is too far out for an l1 threshold
+    ({"eta_ilo": 1e300}, [1], True),
+], ids=["noise_sigma", "eta_ilo"])
+def test_cli_invert_non_finite_descent_exits_5(tmp_path, raw, aborted,
+                                               finite):
+    cfg = _write_cfg(tmp_path, {"dims": [4, 16, 64], "runs": 2, "steps": 40,
+                                "radius": 3.0, "mask_fraction": 0.05, **raw})
+    out = tmp_path / "out"
+    assert main(["invert", "--config", cfg, "--out", str(out)]) == 5
+    summary = _read_strict_json(out / "result.json")["summary"]
+    assert summary["aborted_runs"] == aborted
+    medians = [summary["median_residual_latent"],
+               summary["median_residual_intermediate"]]
+    assert all((m is not None) == finite for m in medians)
+    residuals = [_csv_column(out / "invert_runs.csv", c) for c in (2, 3)]
+    assert np.all(np.isfinite(residuals)) == finite
+
+
 def test_posterior_single_sample_writes_strict_json(tmp_path):
     # one chain of 10 steps keeps a single record: its covariance is null
     cfg = _write_cfg(tmp_path, {"prior_weights": [1.0], **_PRIOR,
                                 "steps": 10, "chains": 1})
     out = tmp_path / "out"
     assert main(["posterior", "--config", cfg, "--out", str(out)]) == 0
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    result = json.loads((out / "result.json").read_text(),
-                        parse_constant=reject)
+    result = _read_strict_json(out / "result.json")
     assert result["summary"]["sample_count"] == 1
     assert result["summary"]["cov"] is None
 

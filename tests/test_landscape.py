@@ -216,7 +216,7 @@ def test_hessian_vector_product_matches_fd_hessian():
             H_fd = fd_hessian(lambda q: ls.ideal_gradient(q, zs, d), p)
             assert np.allclose(H, H.T, atol=1e-11)
             assert np.max(np.abs(H - H_fd)) < 1e-5
-            lap = ls.ideal_hessian(p, zs, d, n)[3]
+            lap = ls.ideal_hessian(p, zs, d)[3]
             assert lap == pytest.approx(float(np.trace(H)), abs=1e-10)
 
 
@@ -231,7 +231,7 @@ def test_hessian_identity_at_minimizer():
 def test_hessian_raises_at_origin():
     zs = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
-        ls.ideal_hessian(np.zeros(2), zs, 2, 2)
+        ls.ideal_hessian(np.zeros(2), zs, 2)
 
 
 def test_loss_scales_with_target_norm():

@@ -169,6 +169,18 @@ def test_run_gd_quadratic_convergence():
     assert traj.losses[-1] < 1e-20
 
 
+def test_descent_stops_on_a_non_finite_state_the_oracle_masks():
+    # a ReLU loss maps the overflowed state -inf (and NaN) to finite values
+    def relu_loss(z):
+        on = z > 0.0
+        return (10.0 * np.sum(np.where(on, z, 0.0), axis=-1),
+                np.where(on, 10.0, 0.0))
+
+    traj = smp.run_gd(relu_loss, np.ones(3), eta=1e308, steps=5)
+    assert traj.aborted_at == 1
+    assert traj.states.tolist() == [[1.0, 1.0, 1.0]]
+
+
 # ---------------------------------------------------------------------------
 # l1 projection
 
@@ -212,6 +224,12 @@ def test_project_l1_hand_values():
                        [0.5, 0.5])
     assert np.allclose(smp.project_l1(np.array([5.0, 5.0]), np.ones(2), 0.0),
                        [1.0, 1.0])
+
+
+def test_project_l1_without_a_float_threshold_gives_nan():
+    # radius 3 is lost in the rounding of an offset of 1e300
+    for v in ([1e300, 2.0, 0.0], [np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0]):
+        assert np.isnan(smp.project_l1(np.array(v), np.zeros(3), 3.0)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +358,22 @@ def test_posterior_sgld_rejects_zero_noise():
     cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=10, seed=0)
     with pytest.raises(ValueError):
         smp.posterior_sgld(problem, prior, None, cfg)
+
+
+def test_posterior_sgld_underflowing_noise_square():
+    # sigma^2 underflows to 0: an infinite likelihood weight stops every
+    # chain at step 0, unless the likelihood is switched off
+    problem = gen.InverseProblem(
+        generator=None, map=gen.MeasurementMap(matrix=None, m=2),
+        y=np.ones(2), noise_sigma=1e-300)
+    prior = priors.GaussianMixturePrior.standard(2)
+    cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=10, seed=0)
+    run = smp.posterior_sgld(problem, prior, None, cfg, chains=2)
+    assert run.aborted_at.tolist() == [0, 0]
+    run = smp.posterior_sgld(problem, prior, None, cfg, chains=2,
+                             likelihood_weight=0.0)
+    assert run.aborted_at.tolist() == [-1, -1]
+    assert np.all(np.isfinite(run.states))
 
 
 def test_posterior_sgld_likelihood_weight_zero_samples_prior():
