@@ -62,12 +62,13 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
 def _write_svg(path: Path, xs, series: dict, title: str) -> None:
-    """Minimal polyline plot; no external assets."""
+    """Minimal polyline plot of the finite points; no external assets."""
     w, h, ml, mr, mt, mb = 640, 400, 60, 20, 30, 40
     all_y = np.concatenate([np.asarray(ys, dtype=float) for ys in series.values()])
     x = np.asarray(xs, dtype=float)
-    x_lo, x_hi = float(x.min()), float(x.max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    fx, fy = x[np.isfinite(x)], all_y[np.isfinite(all_y)]
+    x_lo, x_hi = (float(fx.min()), float(fx.max())) if fx.size else (0.0, 0.0)
+    y_lo, y_hi = (float(fy.min()), float(fy.max())) if fy.size else (0.0, 0.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -98,9 +99,13 @@ def _write_svg(path: Path, xs, series: dict, title: str) -> None:
     parts.append(f'<text x="{ml - 6}" y="{mt + 10}" text-anchor="end" '
                  f'font-family="sans-serif" font-size="11">{y_hi:.4g}</text>')
     for i, (label, ys) in enumerate(series.items()):
+        ys = np.asarray(ys, dtype=float)
+        ok = np.isfinite(x) & np.isfinite(ys)
+        if not ok.any():
+            continue
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}"
-                       for a, b in zip(x, ys))
+                       for a, b in zip(x[ok], ys[ok]))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{w - mr - 4}" y="{mt + 16 + 14 * i}" '

@@ -7,7 +7,9 @@ implements that limiting landscape exactly:
 
 * the one-step angle map g(theta) = arccos(((pi-theta) cos(theta)
   + sin(theta)) / pi) and its d-fold composition theta_d with first and
-  second derivatives,
+  second derivatives (arccos closed forms on the whole array when every
+  angle is mid-range, series patches within THETA_SWITCH of 0 and pi;
+  modified_loss runs a first-order orbit, without g''),
 * the idealized loss L(r, theta) = r^2/2 - r cos(theta_d) + 1/2 with
   gradient, polar Hessian coefficients and Laplacian,
 * a piecewise-quadratic smooth step and the smoothed loss that replaces L
@@ -110,54 +112,58 @@ class ModifiedLossParams:
 # angle map
 
 
-def _g_core(th: np.ndarray):
-    """g, g', g'' on [0, pi]; series branches inside THETA_SWITCH of 0/pi."""
-    g = np.zeros_like(th)
-    gp = np.zeros_like(th)
-    gpp = np.zeros_like(th)
+def _span(a):
+    """Least and greatest non-NaN entries of a (NaN when there are none)."""
+    return (np.fmin.reduce(a, axis=None, initial=math.nan),
+            np.fmax.reduce(a, axis=None, initial=math.nan))
+
+
+def _mid_forms(t, second: bool = True):
+    """g, g' and (if second, else None) g'' by the arccos closed forms,
+    for angles at least THETA_SWITCH from both endpoints."""
+    pt = math.pi - t
+    ct, st = np.cos(t), np.sin(t)
+    u = (pt * ct + st) / math.pi
+    up = -pt * st / math.pi
+    one_m_u2 = 1.0 - u * u
+    den = np.sqrt(one_m_u2)
+    gpp = None
+    if second:
+        upp = (st - pt * ct) / math.pi
+        gpp = -(upp * one_m_u2 + u * up * up) / (one_m_u2 * den)
+    return np.arccos(u), -up / den, gpp
+
+
+def _g_core(th: np.ndarray, second: bool = True):
+    """g, g', g'' (None unless second) on [0, pi]: the closed forms on the
+    whole array if one min/max puts every angle (NaN aside) at least
+    THETA_SWITCH from 0 and pi, else by mask beside the series patches."""
+    t_min, t_max = _span(th)
+    if t_min >= THETA_SWITCH and (math.pi - t_max) >= THETA_SWITCH:
+        return _mid_forms(th, second)
+    g, gp, gpp = np.zeros_like(th), np.zeros_like(th), np.zeros_like(th)
 
     lo = th < THETA_SWITCH
     hi = (math.pi - th) < THETA_SWITCH
     mid = ~(lo | hi)
 
-    if np.any(mid):
-        t = th[mid]
-        ct = np.cos(t)
-        st = np.sin(t)
-        u = ((math.pi - t) * ct + st) / math.pi
-        up = -(math.pi - t) * st / math.pi
-        upp = (st - (math.pi - t) * ct) / math.pi
-        one_m_u2 = 1.0 - u * u
-        den = np.sqrt(one_m_u2)
-        g[mid] = np.arccos(u)
-        gp[mid] = -up / den
-        gpp[mid] = -(upp * one_m_u2 + u * up * up) / (one_m_u2 * den)
-
-    if np.any(lo):
-        t = th[lo]
-        g[lo] = t * (1.0 + t * (_C1 + t * (_C2 + t * (_C3 + t * _C4))))
-        gp[lo] = 1.0 + t * (2 * _C1 + t * (3 * _C2 + t * (4 * _C3 + t * (5 * _C4))))
-        gpp[lo] = 2 * _C1 + t * (6 * _C2 + t * (12 * _C3 + t * (20 * _C4)))
-
-    if np.any(hi):
-        e = math.pi - th[hi]
-        e2 = e * e
-        u = e * e2 * (1.0 / 3.0 - e2 / 30.0 + e2 * e2 / 840.0) / math.pi
-        g[hi] = math.pi / 2.0 - np.arcsin(u)
-        gp[hi] = e2 * (1.0 - e2 / 6.0 + e2 * e2 / 120.0) / math.pi
-        gpp[hi] = -e * (2.0 - 2.0 * e2 / 3.0 + e2 * e2 / 20.0) / math.pi
+    g[mid], gp[mid], gpp[mid] = _mid_forms(th[mid])
+    t = th[lo]
+    g[lo] = t * (1.0 + t * (_C1 + t * (_C2 + t * (_C3 + t * _C4))))
+    gp[lo] = 1.0 + t * (2 * _C1 + t * (3 * _C2 + t * (4 * _C3 + t * (5 * _C4))))
+    gpp[lo] = 2 * _C1 + t * (6 * _C2 + t * (12 * _C3 + t * (20 * _C4)))
+    e = math.pi - th[hi]
+    e2 = e * e
+    u = e * e2 * (1.0 / 3.0 - e2 / 30.0 + e2 * e2 / 840.0) / math.pi
+    g[hi] = math.pi / 2.0 - np.arcsin(u)
+    gp[hi] = e2 * (1.0 - e2 / 6.0 + e2 * e2 / 120.0) / math.pi
+    gpp[hi] = -e * (2.0 - 2.0 * e2 / 3.0 + e2 * e2 / 20.0) / math.pi
 
     return g, gp, gpp
 
 
-def theta_chain(theta, d: int) -> ThetaChain:
-    """Iterate the angle map d times, tracking first and second derivatives.
-
-    Uses the recurrences T <- g(T), P <- g'(T) P, S <- g''(T) P^2 + g'(T) S,
-    which keep P in [0, 1] and S <= 0 exactly (no cancelling divisions).
-    d = 0 returns the identity chain.  A NaN angle (that of a non-finite
-    state) gives NaN fields; an infinite or out-of-range angle raises.
-    """
+def _orbit(theta, d: int, second: bool) -> ThetaChain:
+    """theta_chain; unless second, g'' and S are skipped (S is None)."""
     if not isinstance(d, (int, np.integer)):
         raise TypeError("depth must be an integer")
     if d < 0:
@@ -168,13 +174,26 @@ def theta_chain(theta, d: int) -> ThetaChain:
     if np.any(T < 0.0) or np.any(T > math.pi):
         raise ValueError("angle outside the domain [0, pi]")
     P = np.ones_like(T)
-    S = np.zeros_like(T)
+    S = np.zeros_like(T) if second else None
     for _ in range(int(d)):
-        g, gp, gpp = _g_core(T)
-        S = gpp * P * P + gp * S
+        g, gp, gpp = _g_core(T, second)
+        S = gpp * P * P + gp * S if second else None
         P = gp * P
         T = g
     return ThetaChain(T, P, S)
+
+
+def theta_chain(theta, d: int) -> ThetaChain:
+    """Iterate the angle map d times, tracking first and second derivatives.
+
+    Uses the recurrences T <- g(T), P <- g'(T) P, S <- g''(T) P^2 + g'(T) S,
+    which keep P in [0, 1] and S <= 0 exactly (no cancelling divisions).
+    Each step runs the closed forms on the whole array when every angle
+    is mid-range, else patches angles near 0 or pi with series (_g_core).
+    d = 0 returns the identity chain.  A NaN angle (that of a non-finite
+    state) gives NaN fields; an infinite or out-of-range angle raises.
+    """
+    return _orbit(theta, d, True)
 
 
 def saddle_radius(d: int) -> float:
@@ -212,9 +231,9 @@ def _polar_parts(x, z_star):
     zhat = z / s
     proj = x @ zhat
     perp = x - proj[..., None] * zhat
-    pn = np.linalg.norm(perp, axis=-1)
+    pn = np.sqrt(np.add.reduce(perp * perp, axis=-1))
     theta = np.arctan2(pn, proj)
-    r_amb = np.linalg.norm(x, axis=-1)
+    r_amb = np.sqrt(np.add.reduce(x * x, axis=-1))
     safe = np.where(r_amb > 0.0, r_amb, 1.0)
     rhat = x / safe[..., None]
     return x, s, r_amb / s, theta, rhat, zhat
@@ -330,7 +349,10 @@ def hessian_vector_product(x, z_star, d: int, v):
 
 def _step_parts(a: float, b: float, r):
     """(h, h_r, h_rr) of the piecewise-quadratic step from 0 at r <= a to
-    1 at r >= b; knots take the value of the closed-left piece."""
+    1 at r >= b; knots take the value of the closed-left piece.  When every
+    r is at or past b the flat pieces (1, 0, 0) are returned unmasked."""
+    if np.min(r, initial=math.inf) >= b:       # false for a NaN radius
+        return np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
     inv = 1.0 / ((b - a) * (b - a))
     mid = 0.5 * (a + b)
     rise = (r > a) & (r <= mid)
@@ -342,16 +364,16 @@ def _step_parts(a: float, b: float, r):
     return h, 4.0 * t * inv, h_rr
 
 
-def _smoothed_parts(r, theta, d: int, params: ModifiedLossParams):
-    """Polar pieces of the smoothed loss Lhat at canonical r.
+def _smoothed_parts(r, theta, c: ThetaChain, params: ModifiedLossParams):
+    """Polar pieces of the smoothed loss Lhat at canonical r, given the
+    angle chain c of theta (first order suffices).
 
     Lhat = L h1 + xi (1 - h2) with h1 = step(r0/3, 2 r0/3), h2 = step(0, r0).
-    Returns (chain, h1, ratio_h, Lhat, Lhat_r, Lhat_rr): ratio_h = h1 times
+    Returns (h1, ratio_h, Lhat, Lhat_r, Lhat_rr): ratio_h = h1 times
     the tangential ratio is the gradient's coef_z, and Lhat_rr uses the full
     product rule L_rr h1 + 2 L_r h1_r + L h1_rr - xi h2_rr with L_rr = 1.
     """
     r0 = params.r0
-    c = theta_chain(theta, d)
     cos_td = np.cos(c.theta_d)
     L = 0.5 * r * r - r * cos_td + 0.5
     L_r = r - cos_td
@@ -360,7 +382,7 @@ def _smoothed_parts(r, theta, d: int, params: ModifiedLossParams):
     val = L * h1 + params.xi * (1.0 - h2)
     Lhat_r = L_r * h1 + L * h1_r - params.xi * h2_r
     Lhat_rr = h1 + 2.0 * L_r * h1_r + L * h1_rr - params.xi * h2_rr
-    return c, h1, h1 * _tangential_ratio(theta, c), val, Lhat_r, Lhat_rr
+    return h1, h1 * _tangential_ratio(theta, c), val, Lhat_r, Lhat_rr
 
 
 def modified_loss(x, z_star, d: int, params: ModifiedLossParams):
@@ -369,9 +391,11 @@ def modified_loss(x, z_star, d: int, params: ModifiedLossParams):
     Returns (value, gradient).  For r >= r0 both outputs reproduce
     ideal_loss / ideal_gradient exactly (the step factors are exactly 1/0
     there); at x = 0 the value is xi and the gradient the zero vector.
+    Only theta_d and theta_d' are read, so the angle orbit is first order.
     """
     _, s, r, theta, rhat, zhat = _polar_parts(x, z_star)
-    _, _, ratio_h, val, Lhat_r, _ = _smoothed_parts(r, theta, d, params)
+    _, ratio_h, val, Lhat_r, _ = _smoothed_parts(
+        r, theta, _orbit(theta, d, False), params)
     return val, _ambient_gradient(Lhat_r + ratio_h * np.cos(theta), ratio_h,
                                   rhat, zhat, s, r)
 
@@ -389,8 +413,8 @@ def potential(x, z_star, d: int, params: ModifiedLossParams):
     n = x.shape[-1]
     lam = params.lam
 
-    c, h1, ratio_h, Lhat, Lhat_r, Lhat_rr = _smoothed_parts(r, theta, d,
-                                                           params)
+    c = theta_chain(theta, d)
+    h1, ratio_h, Lhat, Lhat_r, Lhat_rr = _smoothed_parts(r, theta, c, params)
     h3, h3_r, h3_rr = _step_parts(params.r0, 1.5 * params.r0, r)
     ind = np.where(theta >= math.pi / 2.0, 1.0, 0.0)
     ct = np.cos(theta)

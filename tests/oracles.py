@@ -2,15 +2,14 @@
 
 Everything here is deliberately written with different algorithms than the
 library code: finite differences instead of analytic derivatives, extended
-precision instead of series branches, constrained SLSQP instead of
-sort-and-threshold projection, quadrature instead of sampling.  Tests compare library
-output against these, never against the library itself.
+precision instead of series branches, bisection on the threshold instead
+of sort-and-threshold projection, quadrature instead of sampling.  Tests
+compare library output against these, never against the library itself.
 """
 
 import math
 
 import numpy as np
-from scipy import optimize
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -61,24 +60,29 @@ def angle_map_highprec(theta):
     return float(np.arccos(np.minimum(u, np.longdouble(1.0))))
 
 
-def l1_projection_slsqp(point, center, radius):
-    """Euclidean projection onto an l1 ball by constrained optimization."""
+def l1_projection_bisection(point, center, radius):
+    """Euclidean projection onto an l1 ball by bisection on the threshold.
+
+    Outside the ball the projection soft-thresholds w = point - center at
+    the tau with sum(max(|w_i| - tau, 0)) = radius.  That sum falls
+    monotonically in tau, so halving [0, max |w_i|] until the midpoint
+    equals an end pins tau to the spacing of floats, with no sorting.
+    """
     point = np.asarray(point, dtype=float)
     center = np.asarray(center, dtype=float)
-
-    def objective(y):
-        d = y - point
-        return 0.5 * float(d @ d)
-
-    def objective_grad(y):
-        return y - point
-
-    cons = {"type": "ineq",
-            "fun": lambda y: radius - np.sum(np.abs(y - center))}
-    res = optimize.minimize(objective, x0=center.copy(), jac=objective_grad,
-                            constraints=[cons], method="SLSQP",
-                            options={"maxiter": 500, "ftol": 1e-14})
-    return res.x
+    w = point - center
+    a = np.abs(w)
+    if a.sum() <= radius:
+        return point.copy()
+    lo, hi = 0.0, float(a.max())
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if np.maximum(a - mid, 0.0).sum() > radius:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return center + np.sign(w) * np.maximum(a - hi, 0.0)
 
 
 def wdc_deviation_svd(W, x, y):

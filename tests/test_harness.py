@@ -17,7 +17,7 @@ from langscape.harness.cli import main
 from langscape.harness.config import (ConfigError, config_hash,
                                       describe_schema, load_json,
                                       validate_config)
-from langscape.harness.experiment import run_experiment
+from langscape.harness.experiment import _write_svg, run_experiment
 
 
 def _write_cfg(tmp_path: Path, payload: dict, name: str = "cfg.json") -> str:
@@ -498,6 +498,34 @@ def test_cli_invert_non_finite_descent_exits_5(tmp_path, raw, aborted,
     assert all((m is not None) == finite for m in medians)
     residuals = [_csv_column(out / "invert_runs.csv", c) for c in (2, 3)]
     assert np.all(np.isfinite(residuals)) == finite
+
+
+def test_cli_invert_non_finite_residuals_write_a_finite_svg(tmp_path):
+    # every residual is inf: the plot keeps its axes and drops both series
+    cfg = _write_cfg(tmp_path, {"dims": [4, 16, 64], "runs": 2, "steps": 40,
+                                "radius": 3.0, "mask_fraction": 0.05,
+                                "noise_sigma": 1e308, "svg": True})
+    out = tmp_path / "out"
+    assert main(["invert", "--config", cfg, "--out", str(out)]) == 5
+    text = (out / "invert_residuals.svg").read_text()
+    assert ET.fromstring(text).tag.endswith("svg")
+    assert "nan" not in text.lower() and "inf" not in text.lower()
+    assert "<polyline" not in text
+
+
+def test_svg_skips_non_finite_points(tmp_path):
+    path = tmp_path / "plot.svg"
+    _write_svg(path, [0.0, 1.0, 2.0, 3.0],
+               {"a": [1.0, math.inf, 3.0, math.nan],
+                "b": [math.nan] * 4, "c": [2.0, 2.0, -math.inf, 2.0]}, "t")
+    text = path.read_text()
+    lines = [ET.fromstring(line) for line in text.splitlines()
+             if line.startswith("<polyline")]
+    # the axes span the finite values: x in [0, 3], y in [1, 3]
+    assert [line.get("points") for line in lines] == [
+        "60.00,360.00 433.33,30.00",
+        "60.00,195.00 246.67,195.00 620.00,195.00"]
+    assert ">b<" not in text and "nan" not in text and "inf" not in text
 
 
 def test_posterior_single_sample_writes_strict_json(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langscape import landscape as ls
 
@@ -375,6 +377,46 @@ def test_modified_loss_row_with_inf_is_non_finite():
     val_ok, grad_ok = ls.modified_loss(X[[0, 2]], zs, 2, params)
     assert np.allclose(val[[0, 2]], val_ok, rtol=1e-12, atol=0.0)
     assert np.allclose(grad[[0, 2]], grad_ok, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 4), n=st.sampled_from([2, 3, 10]),
+       blocks=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_mid_range_rows_keep_their_bytes_beside_endpoint_rows(d, n, blocks,
+                                                              seed):
+    # rows whose angles are all mid-range and radii all past the steps'
+    # outer knots give the same bytes alone as beside rows at theta = 0,
+    # theta = pi and r < r0, which force the masked, series and step paths.
+    # The rows fill whole blocks of eight: BLAS computes x @ zhat for a
+    # row left over past the last block with another kernel, whose last
+    # bit can differ, so a row count with a remainder would test BLAS.
+    rows = 8 * blocks
+    rng = np.random.default_rng(seed)
+    zs = rng.standard_normal(n) * rng.uniform(0.5, 2.0)
+    s = np.linalg.norm(zs)
+    zhat = zs / s
+    params = ls.ModifiedLossParams.for_depth(max(d, 2), beta=40.0)
+    theta = rng.uniform(0.01, math.pi - 0.01, rows)
+    radius = s * rng.uniform(1.6 * params.r0, 3.0, rows)
+    w = rng.standard_normal((rows + 1, n))
+    w -= (w @ zhat)[:, None] * zhat
+    v = w / np.linalg.norm(w, axis=1, keepdims=True)
+    X = radius[:, None] * (np.cos(theta)[:, None] * zhat
+                           + np.sin(theta)[:, None] * v[:rows])
+    extra = np.stack([zs, -zs, 0.5 * params.r0 * s * v[rows]])
+    Xall = np.concatenate([X, extra])
+    for f in (lambda A: ls.modified_loss(A, zs, d, params),
+              lambda A: ls.potential(A, zs, d, params),
+              lambda A: (ls.ideal_loss(A, zs, d),),
+              lambda A: (ls.ideal_gradient(A, zs, d),)):
+        for alone, beside in zip(f(X), f(Xall)):
+            assert alone.tobytes() == beside[:rows].tobytes()
+    ends = [0.0, math.pi, 0.5 * ls.THETA_SWITCH, math.pi - 1e-6]
+    alone = ls.theta_chain(theta, d)
+    beside = ls.theta_chain(np.concatenate([theta, ends]), d)
+    for field in ("theta_d", "theta_d_prime", "theta_d_double_prime"):
+        assert getattr(alone, field).tobytes() \
+            == getattr(beside, field)[:rows].tobytes()
 
 
 def test_generator_functional_matches_fd_laplacian():

@@ -8,7 +8,7 @@ from langscape import priors
 from langscape import samplers as smp
 
 from oracles import (ar1_stationary_variance, gaussian_posterior_moments,
-                     l1_projection_slsqp)
+                     l1_projection_bisection)
 
 SEED = 8128
 
@@ -205,9 +205,9 @@ def test_project_l1_matches_constrained_solver():
             for y in np.concatenate([vertices, interior]):
                 assert float((point - got) @ (y - got)) <= 1e-9
 
-            # SLSQP solves the same program to looser tolerance
-            want = l1_projection_slsqp(point, center, radius)
-            assert np.linalg.norm(got - want) < 1e-3
+            # bisection finds the same threshold without sorting
+            want = l1_projection_bisection(point, center, radius)
+            assert np.linalg.norm(got - want) < 1e-12
 
 
 def test_project_l1_interior_is_identity():
