@@ -24,9 +24,7 @@ __all__ = [
     "TailReport",
     "DriftReport",
     "sliced_w1",
-    "wilson_interval",
     "grid_density_sampler",
-    "polar_reference_masses",
     "reference_grid_sampler",
     "hitting_time",
     "tail_statistics",
@@ -71,7 +69,7 @@ class DriftReport:
     ci_high: float
 
 
-def wilson_interval(successes: int, n: int):
+def _wilson_interval(successes: int, n: int):
     """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one trial")
@@ -148,44 +146,26 @@ def grid_density_sampler(log_density, bounds, resolution: int, count: int,
     return EmpiricalDistribution(samples=out)
 
 
-def polar_reference_masses(d: int, beta: float, grid: int):
-    """Normalized cell masses of exp(-beta L) on a polar (r, phi) grid.
-
-    The target lives in the plane with z* = e1; phi in (-pi, pi] is the
-    signed angle, theta = |phi|, and r runs over [0, 4].  Returns (masses,
-    r_edges, phi_edges) with masses of shape (grid, 2 grid) including the
-    r Jacobian.
-    """
-    r_edges = np.linspace(0.0, 4.0, grid + 1)
-    phi_edges = np.linspace(-math.pi, math.pi, 2 * grid + 1)
-    rc = 0.5 * (r_edges[:-1] + r_edges[1:])
-    pc = 0.5 * (phi_edges[:-1] + phi_edges[1:])
-    chain = theta_chain(np.abs(pc), d)
-    R, CT = np.meshgrid(rc, np.cos(chain.theta_d), indexing="ij")
-    L = 0.5 * R * R - R * CT + 0.5
-    logw = -beta * L + np.log(R)
-    w = np.exp(logw - logw.max())
-    return w / w.sum(), r_edges, phi_edges
-
-
 def reference_grid_sampler(d: int, beta: float, grid: int, count: int,
                            seed: int) -> EmpiricalDistribution:
     """Quadrature sampler for the Gibbs target exp(-beta L) in the plane.
 
-    Only n = 2 admits an exact tractable reference; higher dimensions are
-    checked through scaling laws instead.  Inverse-CDF over polar cell
-    masses with in-cell jitter; z* is the unit vector e1.
+    L depends on x only through r = ||x|| and the angle theta to z*, so
+    in any R^n the pair (r, theta) has density proportional to
+    exp(-beta L) r^(n-1) sin(theta)^(n-2).  Here n = 2 and z* = e1:
+    grid_density_sampler draws (r, phi) on [0, 4] x [-pi, pi] at
+    resolution grid, with signed angle phi = +-theta.
     """
-    masses, r_edges, phi_edges = polar_reference_masses(d, beta, grid)
-    flat = masses.ravel()
-    rng = np.random.default_rng(seed)
-    idx = np.searchsorted(np.cumsum(flat), rng.random(count), side="right")
-    idx = np.minimum(idx, flat.size - 1)
-    ir, ip = np.unravel_index(idx, masses.shape)
-    dr = r_edges[1] - r_edges[0]
-    dp = phi_edges[1] - phi_edges[0]
-    r = r_edges[ir] + rng.random(count) * dr
-    phi = phi_edges[ip] + rng.random(count) * dp
+    def log_density(pts):
+        r = pts[:, 0]
+        # theta_chain runs once per distinct grid angle, not per cell
+        theta, back = np.unique(np.abs(pts[:, 1]), return_inverse=True)
+        cos_td = np.cos(theta_chain(theta, d).theta_d)[back]
+        return -beta * (0.5 * r * r - r * cos_td + 0.5) + np.log(r)
+
+    r, phi = grid_density_sampler(
+        log_density, ((0.0, 4.0), (-math.pi, math.pi)), resolution=grid,
+        count=count, seed=seed).samples.T
     return EmpiricalDistribution(
         samples=np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1))
 
@@ -227,7 +207,7 @@ def tail_statistics(run: EnsembleRun, beta: float, eta: float,
     escape = int(np.count_nonzero(np.any(norms[late] < threshold, axis=0)))
     growth = ((1.0 - eta / 2.0) ** run.step_indices[:, None] * norms[0]
               + norm_const + norm_const * math.sqrt(n / beta))
-    lo, hi = wilson_interval(escape, chains)
+    lo, hi = _wilson_interval(escape, chains)
     return TailReport(escape_frequency=escape / chains,
                       escape_bound=math.exp(-beta * a * a / 4.0),
                       escape_ci_low=lo, escape_ci_high=hi,
@@ -290,7 +270,8 @@ def discretization_gap(potential_grad, z0, eta: float, refinement: int,
     gap at shared grid points is smaller, order eta, because additive
     noise cancels in the synchronous difference.)  refinement = 1 gives a
     bitwise-zero gap.  Trials run batched on one stream; the potential
-    oracle must accept batched states.
+    oracle must accept batched states.  The loop is its own, not
+    samplers._chain: the two chains must share summed Brownian increments.
     """
     if refinement < 1:
         raise ValueError("refinement must be >= 1")

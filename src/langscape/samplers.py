@@ -76,13 +76,6 @@ class Trajectory:
     step_indices: np.ndarray
     aborted_at: int | None = None
 
-    def __post_init__(self):
-        k = len(self.states)
-        if not len(self.losses) == len(self.step_indices) == k:
-            raise ValueError("trajectory record arrays must share length")
-        if not np.all(np.isfinite(self.states)):
-            raise ValueError("trajectory states must be finite")
-
 
 @dataclass(frozen=True)
 class EnsembleRun:

@@ -1,6 +1,10 @@
 import importlib
 import inspect
+import json
 import pkgutil
+import sys
+import time
+from pathlib import Path
 
 import langscape
 
@@ -29,3 +33,36 @@ def test_traced_entry_points_are_public_functions():
         mod = importlib.import_module(modname)
         assert name in mod.__all__
         assert inspect.isfunction(getattr(mod, name))
+
+
+def test_benchmark_micro_cases_and_traced_runs_still_work(tmp_path):
+    # perfbench/ reads library names and result fields directly; run its
+    # micro-cases once and one tiny traced mix and invert run, so that a
+    # change it cannot follow fails here rather than in the benchmark
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        import micro
+        import tracing
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    from langscape.harness import run_experiment, validate_config
+
+    for _, thunk, _, _ in micro.cases(0):
+        thunk()
+    for name, scale in (("mix", 0.005), ("invert", 0.05)):
+        tracer = tracing.Tracer(run_id=name)
+        tracer.install()
+        try:
+            t0 = time.perf_counter()
+            for i, (mode, raw) in enumerate(workloads.stages(name, 0, scale)):
+                cfg = validate_config(mode, raw,
+                                      out_dir=str(tmp_path / f"{name}{i}"))
+                assert run_experiment(cfg) == 0
+            wall_s = time.perf_counter() - t0
+        finally:
+            tracer.uninstall()
+        summary = tracer.summary(wall_s)
+        assert summary["functions"]
+        json.dumps(summary)

@@ -181,6 +181,20 @@ def test_descent_stops_on_a_non_finite_state_the_oracle_masks():
     assert traj.states.tolist() == [[1.0, 1.0, 1.0]]
 
 
+def test_descent_from_a_non_finite_start_stops_at_step_zero():
+    calls = []
+
+    def pg(z):
+        calls.append(z)
+        return 0.5 * np.sum(z * z, axis=-1), z
+
+    traj = smp.run_gd(pg, np.array([np.nan, 1.0]), eta=0.1, steps=3)
+    assert traj.aborted_at == 0
+    assert np.array_equal(traj.states, [[np.nan, 1.0]], equal_nan=True)
+    assert list(traj.step_indices) == [0]
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # l1 projection
 
