@@ -87,7 +87,12 @@ class ReluGenerator:
 
 @dataclass(frozen=True)
 class MeasurementMap:
-    """Linear measurement A: R^{n_d} -> R^m; matrix None means identity."""
+    """Linear measurement A: R^{n_d} -> R^m; matrix None means identity.
+
+    apply and apply_transpose take each row of a batch as a (1, n)
+    product, bit for bit the 1-D product of that row alone (a batched
+    x @ A.T is not).
+    """
 
     matrix: np.ndarray | None
     m: int
@@ -108,12 +113,12 @@ class MeasurementMap:
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.matrix is None:
             return x
-        return x @ self.matrix.T
+        return (x[..., None, :] @ self.matrix.T)[..., 0, :]
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         if self.matrix is None:
             return v
-        return v @ self.matrix
+        return (v[..., None, :] @ self.matrix)[..., 0, :]
 
 
 def gaussian_map(m: int, n: int, seed: int) -> MeasurementMap:
@@ -129,8 +134,9 @@ class InverseProblem:
 
     mask, when given, selects which measurement coordinates are observed
     (inpainting); unobserved residual entries are dropped from the loss.
-    generator may be None when the forward map is supplied separately
-    (posterior sampling on an intermediate layer).
+    generator None is the identity, so y = A w* for a latent w in the
+    map's input space (posterior sampling with a linear tail); otherwise
+    its output dim must be the map's input dim.
     """
 
     generator: ReluGenerator | None
@@ -144,6 +150,10 @@ class InverseProblem:
         if y.shape != (self.map.m,):
             raise ValueError(f"y has shape {y.shape}, expected ({self.map.m},)")
         object.__setattr__(self, "y", y)
+        n = self.map.m if self.map.matrix is None else self.map.matrix.shape[1]
+        if self.generator is not None and self.generator.output_dim != n:
+            raise ValueError(f"generator output dim differs from the "
+                             f"measurement map's input dim {n}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
         if self.mask is not None:
@@ -224,19 +234,20 @@ def empirical_loss_grad(problem: InverseProblem, z):
     """Loss ||A G(z) - y||^2 / 2 (masked coordinates dropped) and its
     gradient via activation-pattern backprop.
 
-    The gradient is exact wherever no preactivation is zero; at a kink the
-    inactive-side subgradient is returned.  The loss has the leading shape
-    of z (shape () for one latent).
+    generator None is the identity: the loss is ||A z - y||^2 / 2 with
+    gradient A^T (A z - y), and z must be a float array.  The gradient is
+    exact wherever no preactivation is zero; at a kink the inactive-side
+    subgradient is returned.  The loss has the leading shape of z (shape
+    () for one latent).
     """
     G = problem.generator
-    if G is None:
-        raise ValueError("problem has no generator attached")
-    out, masks = forward(G, z)
+    out, masks = (z, None) if G is None else forward(G, z)
     residual = problem.map.apply(out) - problem.y
     if problem.mask is not None:
         residual = np.where(problem.mask, residual, 0.0)
     loss = 0.5 * np.sum(residual * residual, axis=-1)
-    return loss, _backprop(G, masks, problem.map.apply_transpose(residual))
+    v = problem.map.apply_transpose(residual)
+    return loss, v if G is None else _backprop(G, masks, v)
 
 
 # ---------------------------------------------------------------------------

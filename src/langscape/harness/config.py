@@ -5,8 +5,8 @@ Validation is strict: unknown keys are errors (named in the message), as
 are type mismatches, out-of-range values (each key's type states its
 range), missing required keys, an invert split layer outside the
 generator, mixture-prior weights that do not form a distribution, a
-posterior observation y or tail g2 whose shape does not fit the prior,
-and unknown theory-check ids.
+posterior observation y or measurement map g2 whose shape does not fit
+the prior, and unknown theory-check ids.
 The config hash is the sha256 of the canonical (sorted-key) JSON of the
 fully defaulted config, so key order in the file never matters and every
 emitted artifact can embed the hash of the exact settings that produced

@@ -357,14 +357,13 @@ def _posterior_chains(p: dict, seed: int):
     """
     prior = _prior(p)
     y = np.asarray(p["y"], dtype=float)
-    g2 = p["g2"]
-    tail = None if g2 == "identity" else np.asarray(g2, dtype=float)
+    g2 = None if p["g2"] == "identity" else p["g2"]
     problem = gen.InverseProblem(
-        generator=None, map=gen.MeasurementMap(matrix=None, m=len(y)),
+        generator=None, map=gen.MeasurementMap(matrix=g2, m=len(y)),
         y=y, noise_sigma=p["sigma"])
     lcfg = smp.LangevinConfig(eta=p["eta"], beta=1.0, steps=p["steps"],
                               seed=seed + 101, record_every=p["record_every"])
-    run = smp.posterior_sgld(problem, prior, tail, lcfg, chains=p["chains"],
+    run = smp.posterior_sgld(problem, prior, lcfg, chains=p["chains"],
                              likelihood_weight=p["likelihood_weight"])
     ends = np.where(run.aborted_at >= 0,
                     np.searchsorted(run.step_indices, run.aborted_at),

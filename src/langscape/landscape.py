@@ -9,7 +9,8 @@ implements that limiting landscape exactly:
   + sin(theta)) / pi) and its d-fold composition theta_d with first and
   second derivatives (arccos closed forms on the whole array when every
   angle is mid-range, series patches within THETA_SWITCH of 0 and pi;
-  modified_loss runs a first-order orbit, without g''),
+  ideal_loss, ideal_gradient and modified_loss run a first-order orbit,
+  without g''),
 * the idealized loss L(r, theta) = r^2/2 - r cos(theta_d) + 1/2 with
   gradient, polar Hessian coefficients and Laplacian,
 * a piecewise-quadratic smooth step and the smoothed loss that replaces L
@@ -263,7 +264,7 @@ def ideal_loss(x, z_star, d: int):
     Broadcasts over leading axes of x.
     """
     _, _, r, theta, _, _ = _polar_parts(x, z_star)
-    c = theta_chain(theta, d)
+    c = _orbit(theta, d, False)
     return 0.5 * r * r - r * np.cos(c.theta_d) + 0.5
 
 
@@ -287,7 +288,7 @@ def ideal_gradient(x, z_star, d: int):
     zero vector is returned at x = 0 (subgradient convention).
     """
     x, s, r, theta, rhat, zhat = _polar_parts(x, z_star)
-    c = theta_chain(theta, d)
+    c = _orbit(theta, d, False)
     ratio = _tangential_ratio(theta, c)
     coef_r = (r - np.cos(c.theta_d)) + ratio * np.cos(theta)
     return _ambient_gradient(coef_r, ratio, rhat, zhat, s, r)

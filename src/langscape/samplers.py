@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import InverseProblem, ReluGenerator, _backprop, \
-    empirical_loss_grad, forward, split_forward
+from .generator import InverseProblem, empirical_loss_grad, forward, \
+    split_forward
 from .priors import GaussianMixturePrior, gmm_log_density_and_score, \
     sample_prior
 
@@ -254,62 +254,36 @@ def run_ilo_baseline(problem: InverseProblem, split_layer: int, radius: float,
                                project=lambda w: project_l1(w, w0, radius)))
 
 
-def _tail_map(G2, p: int):
-    """Normalize the tail map to (apply, pullback, input_dim, output_dim).
-
-    G2 may be None (identity), a matrix, or a ReluGenerator.  A matrix
-    acts on each row as a (1, n) product, bit for bit the 1-D product of
-    that row alone (a batched W @ M.T is not).
-    """
-    if G2 is None:
-        return (lambda w: (w, None)), (lambda w, aux, v: v), p, p
-    if isinstance(G2, np.ndarray):
-        M = np.asarray(G2, dtype=float)
-        return (lambda w: ((w[..., None, :] @ M.T)[..., 0, :], None)), \
-            (lambda w, aux, v: (v[..., None, :] @ M)[..., 0, :]), \
-            M.shape[1], M.shape[0]
-    if isinstance(G2, ReluGenerator):
-        return (lambda w: forward(G2, w)), \
-            (lambda w, masks, v: _backprop(G2, masks, v)), \
-            G2.latent_dim, G2.output_dim
-    raise TypeError(f"unsupported tail generator type {type(G2).__name__}")
-
-
 def posterior_sgld(problem: InverseProblem, prior: GaussianMixturePrior,
-                   G2, cfg: LangevinConfig, chains: int = 1,
+                   cfg: LangevinConfig, chains: int = 1,
                    likelihood_weight: float = 1.0) -> EnsembleRun:
     """Langevin on the posterior potential of an intermediate latent.
 
     U(w) = lw ||A G2(w) - y||^2 / (2 sigma^2) - log p(w), targeting the
-    posterior exp(-U) at beta = 1.  G2 is None (identity), a linear map,
-    or a ReluGenerator; lw = 0 reduces to sampling the prior.  The chains
-    run as one batch.  Chain c is seeded s = cfg.seed + c: it starts at a
-    prior draw seeded from s and takes its noise from its own stream, so
-    it does not depend on how many chains run.
+    posterior exp(-U) at beta = 1, with the data-fit term and its gradient
+    from empirical_loss_grad: G2 is problem.generator (None is the
+    identity, so a linear tail is problem.map).  lw = 0, or a sigma^2
+    that overflows, reduces to sampling the prior.  The chains run as one
+    batch.  Chain c is seeded s = cfg.seed + c: it starts at a prior draw
+    seeded from s and takes its noise from its own stream, so it does not
+    depend on how many chains run.
     """
     if problem.noise_sigma <= 0:
         raise ValueError("posterior sampling requires noise_sigma > 0")
-    apply, pullback, p, out_dim = _tail_map(G2, prior.dim)
+    G, A = problem.generator, problem.map
+    p = G.latent_dim if G is not None else \
+        A.m if A.matrix is None else A.matrix.shape[1]
     if p != prior.dim:
-        raise ValueError("tail generator input dim differs from prior dim")
-    A = problem.map.matrix
-    if out_dim != (problem.map.m if A is None else A.shape[1]):
-        raise ValueError(f"tail output dim {out_dim} differs from the "
-                         f"measurement map's input dim")
-    s2 = problem.noise_sigma ** 2       # underflows to 0 below ~1.5e-162
+        raise ValueError(f"problem latent dim {p} differs from prior dim")
+    sigma = float(problem.noise_sigma)
+    s2 = sigma * sigma          # 0 below ~1.5e-162, inf above ~1.3e154
     inv_s2 = likelihood_weight / s2 if s2 else \
         (math.inf if likelihood_weight else 0.0)
 
     def potential(w):
-        out, aux = apply(w)
-        residual = problem.map.apply(out) - problem.y
-        if problem.mask is not None:
-            residual = np.where(problem.mask, residual, 0.0)
+        u, g = empirical_loss_grad(problem, w)
         logp, score = gmm_log_density_and_score(prior, w)
-        u = 0.5 * inv_s2 * np.sum(residual * residual, axis=-1) - logp
-        g = inv_s2 * pullback(w, aux, problem.map.apply_transpose(residual)) \
-            - score
-        return u, g
+        return inv_s2 * u - logp, inv_s2 * g - score
 
     seeds = range(cfg.seed, cfg.seed + chains)
     z0 = np.concatenate([sample_prior(prior, 1, seed=np.random.default_rng(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langscape import generator as gen
 from langscape import landscape as ls
@@ -119,6 +121,19 @@ def test_empirical_loss_grad_with_dense_map():
                      h=1e-7)
     _, grad = gen.empirical_loss_grad(problem, z)
     assert np.linalg.norm(fd - grad) < 1e-5 * max(1.0, np.linalg.norm(grad))
+    # no generator is the identity: ||A w - y||^2 / 2 and A^T (A w - y)
+    w = rng.standard_normal((5, 24))
+    linear = gen.InverseProblem(generator=None, map=A, y=y)
+    val, grad = gen.empirical_loss_grad(linear, w)
+    res = w @ A.matrix.T - y
+    assert val.shape == (5,)
+    assert np.allclose(val, 0.5 * np.sum(res * res, axis=-1), rtol=1e-13)
+    assert np.allclose(grad, res @ A.matrix, rtol=1e-12, atol=1e-13)
+    for i in range(3):
+        fd = fd_gradient(lambda p: gen.empirical_loss_grad(linear, p)[0],
+                         w[i], h=1e-6)
+        assert np.linalg.norm(fd - grad[i]) \
+            < 1e-6 * max(1.0, np.linalg.norm(grad[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +249,25 @@ def test_measurement_map_identity_and_transpose():
     B = gen.MeasurementMap(matrix=M, m=3)
     assert np.allclose(B.apply(v), M @ v)
     assert np.allclose(B.apply_transpose(np.ones(3)), M.T @ np.ones(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 16), n=st.integers(1, 128),
+       rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_measurement_map_rows_keep_their_bytes(m, n, rows, seed):
+    # each row of a batch is bit for bit the one-row call, and a single
+    # row is the plain product x @ A.T (v @ A)
+    rng = np.random.default_rng(seed)
+    A = gen.MeasurementMap(matrix=rng.standard_normal((m, n)), m=m)
+    X = rng.standard_normal((rows, n))
+    V = rng.standard_normal((rows, m))
+    AX, ATV = A.apply(X), A.apply_transpose(V)
+    assert AX.shape == (rows, m) and ATV.shape == (rows, n)
+    for i in range(rows):
+        one = A.apply(X[i]).tobytes()
+        assert one == AX[i].tobytes() == (X[i] @ A.matrix.T).tobytes()
+        one = A.apply_transpose(V[i]).tobytes()
+        assert one == ATV[i].tobytes() == (V[i] @ A.matrix).tobytes()
 
 
 def test_invalid_generator_dims():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from langscape import diagnostics as diag
+from langscape import generator as gen
 from langscape import landscape as ls
 from langscape.harness import checks as hchecks
 from langscape.harness.cli import main
@@ -371,6 +372,26 @@ def test_gradient_check_fails_on_small_relative_corruption(monkeypatch):
     assert res.statistic > 5e-4
 
 
+# planted defects: each claim check must fail when its oracle is broken
+
+
+def test_census_check_fails_on_gradient_offset(monkeypatch):
+    # a constant offset leaves no critical point at z*, -A z* or 0
+    grad = ls.ideal_gradient
+    monkeypatch.setattr(ls, "ideal_gradient",
+                        lambda X, zs, d: grad(X, zs, d) + 1e-3)
+    res = hchecks.c02_census(0)
+    assert not res.passed
+
+
+def test_concentration_check_fails_on_constant_wdc_deviation(monkeypatch):
+    # a deviation that does not shrink with width is no concentration
+    monkeypatch.setattr(gen, "wdc_deviation", lambda W, x, y: 0.1)
+    res = hchecks.c04_wdc_rric(0)
+    assert not res.passed
+    assert res.statistic <= res.bound
+
+
 # ---------------------------------------------------------------------------
 # determinism and threading of experiment outputs
 
@@ -421,6 +442,23 @@ def test_cli_posterior_divergence_exits_5(tmp_path):
         assert main(["posterior", "--config", cfg, "--out", str(out)]) == 5
     result = json.loads((out / "result.json").read_text())
     assert result["summary"]["aborted_chains"] == [0, 1]
+
+
+def test_cli_posterior_overflowing_sigma_samples_the_prior(tmp_path):
+    # sigma^2 overflows to inf (a float or an int sigma): the likelihood
+    # weight is 0, so the samples are those of likelihood_weight 0
+    raw = {"prior_weights": [1.0], "prior_means": [[0.0, 0.0]],
+           "prior_variances": [1.0], "g2": [[1.0, 0.5]], "y": [0.3],
+           "steps": 200, "chains": 2}
+    samples = []
+    for name, extra in (("ref", {"sigma": 1.0, "likelihood_weight": 0.0}),
+                        ("float", {"sigma": 1e300}),
+                        ("int", {"sigma": 10**200})):
+        cfg = _write_cfg(tmp_path, {**raw, **extra}, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["posterior", "--config", cfg, "--out", str(out)]) == 0
+        samples.append((out / "posterior_samples.csv").read_bytes())
+    assert samples[1] == samples[0] and samples[2] == samples[0]
 
 
 def test_cli_invert_divergence_exits_5(tmp_path):

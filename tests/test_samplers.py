@@ -311,7 +311,7 @@ def test_posterior_sgld_conjugate_moments():
     mean_exp, var_exp = gaussian_posterior_moments(y, sigma)
     cfg = smp.LangevinConfig(eta=0.02, beta=1.0, steps=20_000,
                              seed=SEED + 8, record_every=10)
-    run = smp.posterior_sgld(problem, prior, None, cfg, chains=6)
+    run = smp.posterior_sgld(problem, prior, cfg, chains=6)
     pooled = run.states[len(run.states) // 2:].reshape(-1, p)
     assert np.allclose(pooled.mean(axis=0), mean_exp, atol=0.05)
     assert np.allclose(pooled.var(axis=0), var_exp, atol=0.04)
@@ -326,17 +326,17 @@ def test_posterior_sgld_chain_is_independent_of_chain_count(p, rows):
     M = None if rows is None else rng.standard_normal((rows, p))
     m = p if rows is None else rows
     problem = gen.InverseProblem(
-        generator=None, map=gen.MeasurementMap(matrix=None, m=m),
+        generator=None, map=gen.MeasurementMap(matrix=M, m=m),
         y=rng.standard_normal(m), noise_sigma=0.6)
     prior = priors.GaussianMixturePrior(
         weights=np.array([0.4, 0.6]), means=rng.standard_normal((2, p)),
         variances=np.array([0.5, 1.5]))
     cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=300, seed=SEED + 24,
                              record_every=7)
-    run = smp.posterior_sgld(problem, prior, M, cfg, chains=3)
+    run = smp.posterior_sgld(problem, prior, cfg, chains=3)
     assert run.states.shape[1:] == (3, p)
     for c in range(3):
-        one = smp.posterior_sgld(problem, prior, M, smp.LangevinConfig(
+        one = smp.posterior_sgld(problem, prior, smp.LangevinConfig(
             eta=0.01, beta=1.0, steps=300, seed=SEED + 24 + c,
             record_every=7))
         assert np.array_equal(one.step_indices, run.step_indices)
@@ -345,23 +345,32 @@ def test_posterior_sgld_chain_is_independent_of_chain_count(p, rows):
 
 
 def test_posterior_sgld_rejects_observation_of_the_wrong_shape():
-    # the tail's output must be the measurement map's input
+    # the tail's output must be the measurement map's input ...
+    G = gen.build_generator([2, 12, 8], seed=SEED + 25)
+    for m, matrix in ((4, None), (3, np.ones((3, 4)))):
+        with pytest.raises(ValueError, match="measurement map"):
+            gen.InverseProblem(
+                generator=G, map=gen.MeasurementMap(matrix=matrix, m=m),
+                y=np.zeros(m), noise_sigma=1.0)
+    # ... and the latent the prior's: a 1-D prior beside 3 identity
+    # measurements would otherwise broadcast
     prior = priors.GaussianMixturePrior.standard(2)
     cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=10, seed=0)
 
-    def problem(m, matrix=None):
+    def problem(m, matrix=None, generator=None):
         return gen.InverseProblem(
-            generator=None, map=gen.MeasurementMap(matrix=matrix, m=m),
+            generator=generator, map=gen.MeasurementMap(matrix=matrix, m=m),
             y=np.zeros(m), noise_sigma=1.0)
 
-    G = gen.build_generator([2, 12, 8], seed=SEED + 25)
-    for prob, G2 in ((problem(1), None),                     # identity tail
-                     (problem(3, np.ones((3, 4))), None),    # map takes 4
-                     (problem(2), np.ones((3, 2))),          # linear tail
-                     (problem(4), G)):                       # ReLU tail
-        with pytest.raises(ValueError, match="measurement map"):
-            smp.posterior_sgld(prob, prior, G2, cfg)
-    smp.posterior_sgld(problem(3, np.ones((3, 8))), prior, G, cfg)
+    for prob, dim in ((problem(3), 1),                    # identity tail
+                      (problem(3), 2),
+                      (problem(3, np.ones((3, 4))), 2),   # linear tail
+                      (problem(8, None, G), 3)):          # ReLU tail
+        with pytest.raises(ValueError, match="prior dim"):
+            smp.posterior_sgld(prob, priors.GaussianMixturePrior.standard(
+                dim), cfg)
+    smp.posterior_sgld(problem(3, np.ones((3, 2))), prior, cfg)
+    smp.posterior_sgld(problem(3, np.ones((3, 8)), G), prior, cfg)
 
 
 def test_posterior_sgld_rejects_zero_noise():
@@ -371,7 +380,7 @@ def test_posterior_sgld_rejects_zero_noise():
     prior = priors.GaussianMixturePrior.standard(2)
     cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=10, seed=0)
     with pytest.raises(ValueError):
-        smp.posterior_sgld(problem, prior, None, cfg)
+        smp.posterior_sgld(problem, prior, cfg)
 
 
 def test_posterior_sgld_underflowing_noise_square():
@@ -382,12 +391,33 @@ def test_posterior_sgld_underflowing_noise_square():
         y=np.ones(2), noise_sigma=1e-300)
     prior = priors.GaussianMixturePrior.standard(2)
     cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=10, seed=0)
-    run = smp.posterior_sgld(problem, prior, None, cfg, chains=2)
+    run = smp.posterior_sgld(problem, prior, cfg, chains=2)
     assert run.aborted_at.tolist() == [0, 0]
-    run = smp.posterior_sgld(problem, prior, None, cfg, chains=2,
+    run = smp.posterior_sgld(problem, prior, cfg, chains=2,
                              likelihood_weight=0.0)
     assert run.aborted_at.tolist() == [-1, -1]
     assert np.all(np.isfinite(run.states))
+
+
+def test_posterior_sgld_overflowing_noise_square_samples_prior():
+    # sigma^2 overflows to inf (a float or an int sigma): the likelihood
+    # weight is 0 and the chains are bit for bit the prior-only run
+    prior = priors.GaussianMixturePrior.standard(2)
+    cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=10, seed=0)
+
+    def run(sigma, weight=1.0):
+        problem = gen.InverseProblem(
+            generator=None, map=gen.MeasurementMap(matrix=None, m=2),
+            y=np.ones(2), noise_sigma=sigma)
+        return smp.posterior_sgld(problem, prior, cfg, chains=2,
+                                  likelihood_weight=weight)
+
+    ref = run(1.0, weight=0.0)
+    for sigma in (1e300, 1.7e308, 10**200):
+        got = run(sigma)
+        assert got.aborted_at.tolist() == [-1, -1]
+        assert got.states.tobytes() == ref.states.tobytes()
+        assert got.losses.tobytes() == ref.losses.tobytes()
 
 
 def test_posterior_sgld_likelihood_weight_zero_samples_prior():
@@ -399,8 +429,7 @@ def test_posterior_sgld_likelihood_weight_zero_samples_prior():
     prior = priors.GaussianMixturePrior.standard(p)
     cfg = smp.LangevinConfig(eta=0.02, beta=1.0, steps=40_000, seed=SEED + 20,
                              record_every=10)
-    run = smp.posterior_sgld(problem, prior, None, cfg,
-                             likelihood_weight=0.0)
+    run = smp.posterior_sgld(problem, prior, cfg, likelihood_weight=0.0)
     tail = run.states[len(run.states) // 4:, 0]
     # any likelihood leakage would drag the mean toward 4 (= y * snr)
     assert abs(float(tail.mean())) < 0.15
@@ -408,39 +437,18 @@ def test_posterior_sgld_likelihood_weight_zero_samples_prior():
 
 
 def test_posterior_sgld_with_relu_tail():
-    # smoke correctness: G2 as a ReluGenerator runs and stays finite
+    # smoke correctness: a ReluGenerator tail runs and stays finite
     G = gen.build_generator([3, 12, 8], seed=SEED + 21)
     y = np.zeros(8)
     problem = gen.InverseProblem(
-        generator=None, map=gen.MeasurementMap(matrix=None, m=8), y=y,
+        generator=G, map=gen.MeasurementMap(matrix=None, m=8), y=y,
         noise_sigma=1.0)
     prior = priors.GaussianMixturePrior.standard(3)
     cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=500, seed=SEED + 22,
                              record_every=50)
-    run = smp.posterior_sgld(problem, prior, G, cfg)
+    run = smp.posterior_sgld(problem, prior, cfg)
     assert list(run.aborted_at) == [-1]
     assert np.all(np.isfinite(run.states))
-
-
-def test_relu_tail_pullback_matches_finite_differences():
-    # the intermediate-layer potential's tail: pullback(w, masks, v) is the
-    # gradient of v . apply(w), checked where no preactivation changes sign
-    G = gen.build_generator([3, 12, 8], seed=SEED + 21)
-    apply, pullback, p, out_dim = smp._tail_map(G, 3)
-    assert (p, out_dim) == (3, 8)
-    rng = np.random.default_rng(SEED + 26)
-    h = 1e-6
-    for _ in range(20):
-        w = rng.standard_normal(3)
-        v = rng.standard_normal(8)
-        _, masks = apply(w)
-        fd = np.empty(3)
-        for i, e in enumerate(h * np.eye(3)):
-            (up, m_up), (down, m_down) = apply(w + e), apply(w - e)
-            for m in (m_up, m_down):
-                assert all(np.array_equal(a, b) for a, b in zip(m, masks))
-            fd[i] = v @ (up - down) / (2 * h)
-        assert np.allclose(pullback(w, masks, v), fd, rtol=1e-7, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
