@@ -112,6 +112,9 @@ class MeasurementMap:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.matrix is None:
+            if x.shape[-1:] != (self.m,):
+                raise ValueError(f"x has shape {x.shape}, "
+                                 f"expected (..., {self.m})")
             return x
         return (x[..., None, :] @ self.matrix.T)[..., 0, :]
 

@@ -29,8 +29,6 @@ __all__ = [
     "ExperimentConfig",
     "load_json",
     "validate_config",
-    "config_hash",
-    "describe_schema",
 ]
 
 
@@ -179,7 +177,9 @@ class ExperimentConfig:
         return self.params["seed"]
 
     def hash(self) -> str:
-        return config_hash(self.mode, self.params)
+        canon = json.dumps({"mode": self.mode, "params": self.params},
+                           sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def load_json(path: str) -> dict:
@@ -253,18 +253,3 @@ def validate_config(mode: str, raw: dict, seed_override: int | None = None,
                               f"{unknown!r}; known: {', '.join(CHECK_IDS)}")
     return ExperimentConfig(mode=mode, params=params, out_dir=out_dir)
 
-
-def config_hash(mode: str, params: dict) -> str:
-    """sha256 of the canonical JSON; independent of key order."""
-    canon = json.dumps({"mode": mode, "params": params}, sort_keys=True,
-                       separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def describe_schema(mode: str) -> str:
-    """One line per allowed key: name, type, default or 'required'."""
-    lines = []
-    for key, (pred, typename, default) in sorted(SCHEMAS[mode].items()):
-        tail = "required" if default is _REQUIRED else f"default {default!r}"
-        lines.append(f"  {key}: {typename} ({tail})")
-    return "\n".join(lines)

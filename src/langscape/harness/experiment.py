@@ -137,9 +137,13 @@ def _run_landscape(cfg, out: Path):
     X[:, 0] = R * [math.cos(t) for t in T]
     X[:, 1] = R * [math.sin(t) for t in T]
     loss = ls.ideal_loss(X, zs, d)
+    try:
+        eig = diag.min_hessian_eig(X, zs, d, n)
+    except ValueError as exc:
+        raise ConfigError(f"config key 'r_max' {p['r_max']!r} is too small: "
+                          f"a grid point's squares underflow ({exc})") from exc
     columns = (R, T, loss, ls.modified_loss(X, zs, d, params)[0],
-               *ls.potential(X, zs, d, params)[::2],
-               diag.min_hessian_eig(X, zs, d, n))
+               *ls.potential(X, zs, d, params)[::2], eig)
     rows = list(zip(*(c.tolist() for c in columns)))
     _write_csv(out / "landscape_scan.csv",
                ["r", "theta", "loss", "loss_modified", "potential",

@@ -163,17 +163,13 @@ def _g_core(th: np.ndarray, second: bool = True):
     return g, gp, gpp
 
 
-def _orbit(theta, d: int, second: bool) -> ThetaChain:
-    """theta_chain; unless second, g'' and S are skipped (S is None)."""
+def _orbit(T, d: int, second: bool) -> ThetaChain:
+    """theta_chain without its angle checks, for float angles in [0, pi] or
+    NaN (_polar_parts's); unless second, g'' and S are skipped (S None)."""
     if not isinstance(d, (int, np.integer)):
         raise TypeError("depth must be an integer")
     if d < 0:
         raise ValueError("depth must be nonnegative")
-    T = np.array(theta, dtype=float)
-    if np.any(np.isinf(T)):
-        raise ValueError("angle must not be infinite")
-    if np.any(T < 0.0) or np.any(T > math.pi):
-        raise ValueError("angle outside the domain [0, pi]")
     P = np.ones_like(T)
     S = np.zeros_like(T) if second else None
     for _ in range(int(d)):
@@ -191,10 +187,15 @@ def theta_chain(theta, d: int) -> ThetaChain:
     which keep P in [0, 1] and S <= 0 exactly (no cancelling divisions).
     Each step runs the closed forms on the whole array when every angle
     is mid-range, else patches angles near 0 or pi with series (_g_core).
-    d = 0 returns the identity chain.  A NaN angle (that of a non-finite
-    state) gives NaN fields; an infinite or out-of-range angle raises.
+    d = 0 returns the identity chain.  A NaN angle gives NaN fields; an
+    infinite or out-of-range angle raises (checked before the depth).
     """
-    return _orbit(theta, d, True)
+    T = np.array(theta, dtype=float)
+    if np.any(np.isinf(T)):
+        raise ValueError("angle must not be infinite")
+    if np.any(T < 0.0) or np.any(T > math.pi):
+        raise ValueError("angle outside the domain [0, pi]")
+    return _orbit(T, d, True)
 
 
 def saddle_radius(d: int) -> float:
@@ -307,7 +308,7 @@ def ideal_hessian(x, z_star, d: int):
     x, s, r, theta, _, _ = _polar_parts(x, z_star)
     if np.any(r == 0.0):
         raise ValueError("Hessian undefined at x = 0")
-    c = theta_chain(theta, d)
+    c = _orbit(theta, d, True)
     cos_td = np.cos(c.theta_d)
     P = c.theta_d_prime
     s2 = s * s
@@ -414,7 +415,7 @@ def potential(x, z_star, d: int, params: ModifiedLossParams):
     n = x.shape[-1]
     lam = params.lam
 
-    c = theta_chain(theta, d)
+    c = _orbit(theta, d, True)
     h1, ratio_h, Lhat, Lhat_r, Lhat_rr = _smoothed_parts(r, theta, c, params)
     h3, h3_r, h3_rr = _step_parts(params.r0, 1.5 * params.r0, r)
     ind = np.where(theta >= math.pi / 2.0, 1.0, 0.0)

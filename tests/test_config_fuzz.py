@@ -1,14 +1,14 @@
 """Property tests of the config contract: any JSON object whose keys come
 from a mode's schema either validates or raises ConfigError (exit 2),
-never another exception; and a whole posterior run of any such config
-exits 0, 2 or 5 and writes strict JSON."""
+never another exception; and a whole run of any such config, in every
+mode but theory-check, exits 0, 2 or 5 and writes strict JSON."""
 
 import json
 import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from langscape.harness.cli import main
@@ -79,18 +79,69 @@ def _no_constant(name):
     raise ValueError(f"{name} in a JSON artifact")
 
 
-@settings(max_examples=60, deadline=None)
-@given(_posterior_config())
-def test_posterior_cli_exits_0_2_or_5(raw):
+def _run_cli(mode, raw):
+    """Exit code of one whole run; result.json must be strict unless 2."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(raw))
         # numpy's overflow warnings are not part of the exit contract
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            code = main(["posterior", "--config", str(cfg),
-                         "--out", str(out)])
-        assert code in (0, 2, 5)
+            code = main([mode, "--config", str(cfg), "--out", str(out)])
         if code != 2:
             json.loads((out / "result.json").read_text(),
                        parse_constant=_no_constant)
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(_posterior_config())
+def test_posterior_cli_exits_0_2_or_5(raw):
+    assert _run_cli("posterior", raw) in (0, 2, 5)
+
+
+# 0, the least subnormal, radii whose squares underflow, and the top of
+# the float range, beside ordinary values
+_TINY_TO_HUGE = st.sampled_from([0, 0.0, 5e-324, 1e-300, 2e-162, 1e-160,
+                                 1e300, 1.7e308]) \
+    | st.floats(min_value=1e-6, max_value=1e3)
+
+
+@st.composite
+def _mode_config(draw):
+    mode = draw(st.sampled_from(["landscape", "wdc", "rric", "mix",
+                                 "invert"]))
+    i = lambda lo, hi: draw(st.integers(lo, hi))
+    x = lambda: draw(_TINY_TO_HUGE)
+    raw = {"seed": i(0, 5), "svg": draw(st.booleans())}
+    if mode == "landscape":
+        raw.update(d=i(2, 3), n=i(2, 4), r_points=i(1, 4),
+                   theta_points=i(1, 4), r_max=x(), xi=x(), lam=x(),
+                   beta=x())
+    elif mode == "wdc":
+        raw.update(k=i(1, 3), n_values=[i(1, 16) for _ in range(i(1, 2))],
+                   pairs=i(1, 5))
+    elif mode == "rric":
+        raw.update(dims=[i(1, 8) for _ in range(i(2, 3))],
+                   m_values=[i(1, 8) for _ in range(i(1, 2))],
+                   tuples=i(1, 5))
+    elif mode == "mix":
+        raw.update(d=i(2, 3), beta=x(), eta=x(), chains=i(1, 3),
+                   snapshot_steps=[i(1, 20) for _ in range(i(1, 2))],
+                   grid=i(1, 8), projections=i(1, 4),
+                   start_radius=draw(_NUM))
+    else:
+        raw.update(dims=[i(1, 4), i(1, 8), i(1, 16)], radius=x(),
+                   mask_fraction=draw(st.sampled_from([0, 5e-324, 1e-300,
+                                                       0.5, 1.0])),
+                   noise_sigma=x(), eta_csgm=x(), eta_ilo=x(),
+                   steps=i(1, 10), runs=i(1, 2))
+    return mode, raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mode_config())
+@example(("landscape", {"d": 2, "n": 4, "r_max": 1e-160}))
+@example(("landscape", {"d": 2, "n": 4, "r_max": 2e-162, "r_points": 1}))
+def test_every_mode_cli_exits_0_2_or_5(mode_raw):
+    assert _run_cli(*mode_raw) in (0, 2, 5)

@@ -249,6 +249,13 @@ def test_measurement_map_identity_and_transpose():
     B = gen.MeasurementMap(matrix=M, m=3)
     assert np.allclose(B.apply(v), M @ v)
     assert np.allclose(B.apply_transpose(np.ones(3)), M.T @ np.ones(3))
+    # a latent of another dim must not broadcast against an identity map
+    problem = gen.InverseProblem(generator=None, map=A, y=np.ones(5))
+    for z in (np.zeros(1), np.zeros((4, 3)), np.zeros((5, 4))):
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., 5\)"):
+            A.apply(z)
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., 5\)"):
+            gen.empirical_loss_grad(problem, z)
 
 
 @settings(max_examples=60, deadline=None)

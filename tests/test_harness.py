@@ -1,7 +1,8 @@
 """Harness tests: config validation, stable hashing, CLI exit codes,
-artifact layout, byte-level determinism, and the mutation hook that
-proves the gradient verification check can actually fail."""
+artifact layout, byte-level determinism, and planted defects that prove
+the claim checks can actually fail."""
 
+import itertools
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -13,11 +14,12 @@ import pytest
 from langscape import diagnostics as diag
 from langscape import generator as gen
 from langscape import landscape as ls
+from langscape import samplers as smp
 from langscape.harness import checks as hchecks
+from langscape.harness import experiment as hexp
 from langscape.harness.cli import main
-from langscape.harness.config import (ConfigError, config_hash,
-                                      describe_schema, load_json,
-                                      validate_config)
+from langscape.harness.config import (ConfigError, ExperimentConfig,
+                                      load_json, validate_config)
 from langscape.harness.experiment import _write_svg, run_experiment
 
 
@@ -96,12 +98,6 @@ def test_load_json_rejects_malformed_and_non_object(tmp_path):
         load_json(str(arr))
 
 
-def test_describe_schema_marks_required_and_defaults():
-    text = describe_schema("invert")
-    assert "radius: number >= 0 (required)" in text
-    assert "steps: integer >= 1 (default 300)" in text
-
-
 _PRIOR = {"prior_means": [[0.0, 0.0]], "prior_variances": [1.0],
           "y": [0.3, -0.2], "sigma": 1.0}
 
@@ -153,6 +149,21 @@ def test_cli_rric_zero_range_difference_exits_2_naming_dims(tmp_path, capsys,
     assert err.startswith("config error") and "'dims'" in err
 
 
+@pytest.mark.parametrize("raw", [
+    {"d": 2, "n": 4, "r_max": 1e-160},
+    {"d": 2, "n": 4, "r_max": 2e-162, "r_points": 1},
+    {"d": 3, "n": 2, "r_max": 5e-324, "r_points": 1},
+])
+def test_cli_landscape_underflowing_radius_exits_2_naming_r_max(tmp_path,
+                                                                capsys, raw):
+    # the squares of a grid point this close to 0 underflow to r = 0
+    cfg = _write_cfg(tmp_path, raw)
+    assert main(["landscape", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'r_max'" in err
+
+
 # ---------------------------------------------------------------------------
 # config hashing
 
@@ -163,6 +174,8 @@ def test_config_hash_is_independent_of_key_order():
     assert a.hash() == b.hash()
     assert len(a.hash()) == 64
     assert set(a.hash()) <= set("0123456789abcdef")
+    assert validate_config("landscape", {"d": 2, "n": 4}).hash() == (
+        "97ee078d99c37b62b6855c334a11cc622480514b6adc523f6b7ccd1a0cd597fd")
 
 
 def test_config_hash_changes_when_any_parameter_changes():
@@ -174,7 +187,7 @@ def test_config_hash_changes_when_any_parameter_changes():
         h = validate_config("landscape", raw).hash()
         assert h not in seen
         seen.add(h)
-    assert config_hash("wdc", base.params) != base.hash()
+    assert ExperimentConfig("wdc", base.params, ".").hash() != base.hash()
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +206,8 @@ def test_cli_landscape_run_writes_declared_artifacts(tmp_path, capsys):
                            "summary"}
     assert result["mode"] == "landscape"
     assert result["params"]["seed"] == 7
-    assert result["config_hash"] == config_hash("landscape", result["params"])
+    assert result["config_hash"] == validate_config(
+        "landscape", result["params"]).hash()
     for name in result["artifacts"]:
         assert (out / name).is_file()
     csv_lines = (out / "landscape_scan.csv").read_text().splitlines()
@@ -390,6 +404,52 @@ def test_concentration_check_fails_on_constant_wdc_deviation(monkeypatch):
     res = hchecks.c04_wdc_rric(0)
     assert not res.passed
     assert res.statistic <= res.bound
+
+
+def test_convexity_check_fails_on_scaled_rotational_curvature(monkeypatch):
+    # c_psi 1% too large puts H(z*) a distance 1e-2 from the identity
+    hess = ls.ideal_hessian
+
+    def scaled(x, zs, d):
+        c_rr, c_tt, c_psi, lap = hess(x, zs, d)
+        return c_rr, c_tt, 1.01 * c_psi, lap
+    monkeypatch.setattr(ls, "ideal_hessian", scaled)
+    monkeypatch.setattr(diag, "ideal_hessian", scaled)
+    res = hchecks.c03_convexity_ball(0)
+    assert not res.passed
+    assert "max |H - I| = 1.00e-02" in res.detail
+
+
+def test_escape_check_fails_on_ascending_gradient(monkeypatch):
+    # chains that climb the smoothed loss leave the norm bound
+    loss = ls.modified_loss
+
+    def ascending(x, zs, d, params):
+        val, grad = loss(x, zs, d, params)
+        return val, -grad
+    monkeypatch.setattr(ls, "modified_loss", ascending)
+    res = hchecks.c07_escape(0)
+    assert not res.passed
+    assert "norm-bound exceedances 0.0" not in res.detail
+
+
+def test_contraction_check_fails_on_independent_noise(monkeypatch):
+    # without shared increments the pair's distance does not contract
+    monkeypatch.setattr(smp, "coupled_pair", lambda pg, a, b, cfg:
+                        smp.run_langevin_ensemble(pg, np.stack([a, b]), cfg))
+    res = hchecks.c09_contraction_discretization(0)
+    assert not res.passed
+    assert "contraction excess 2.53e+00" in res.detail
+
+
+def test_determinism_check_fails_on_a_changing_csv_row(monkeypatch):
+    # every CSV written gets one more row, numbered by a process counter
+    write, count = hexp._write_csv, itertools.count()
+    monkeypatch.setattr(hexp, "_write_csv", lambda path, header, rows: write(
+        path, header, [*rows, (next(count),) * len(header)]))
+    res = hchecks.c12_determinism(0)
+    assert not res.passed
+    assert res.statistic == 6.0        # every mode that writes a CSV
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from langscape import landscape as ls
@@ -77,13 +77,48 @@ def test_angle_map_shape_invariants():
 
 
 def test_angle_map_rejects_out_of_domain():
-    with pytest.raises(ValueError):
-        _g(-0.1)
-    with pytest.raises(ValueError):
-        _g(math.pi + 0.1)
-    for bad in (math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            _g(bad)
+    # theta_chain is the one entry that takes angles (the orbit behind the
+    # oracles trusts _polar_parts's), so it checks them at every depth,
+    # before the depth itself
+    for bad, message in [
+            (math.inf, "must not be infinite"),
+            (-math.inf, "must not be infinite"),
+            ([0.5, math.inf], "must not be infinite"),
+            (-0.1, "outside the domain"),
+            (math.pi + 0.1, "outside the domain"),
+            (np.nextafter(math.pi, 4.0), "outside the domain"),
+            ([[0.5, 1.0], [-1e-300, 2.0]], "outside the domain")]:
+        for d in (0, 1, 2, -1):
+            with pytest.raises(ValueError, match=message):
+                ls.theta_chain(bad, d)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ls.theta_chain([0.0, math.pi, math.nan], -1)
+    with pytest.raises(TypeError, match="integer"):
+        ls.theta_chain(0.5, 2.0)
+
+
+_ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -5e-324, 1.7e308, -1.7e308]),
+    st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_polar_angles_lie_in_the_domain_or_are_nan(n, data):
+    # the orbit behind every oracle takes _polar_parts's angles unchecked
+    z = np.array(data.draw(st.lists(st.floats(allow_nan=False,
+                                              allow_infinity=False),
+                                     min_size=n, max_size=n)))
+    x = np.array(data.draw(st.lists(
+        st.lists(_ANY_FLOAT, min_size=n, max_size=n), min_size=1, max_size=6)))
+    with np.errstate(all="ignore"):
+        assume(np.linalg.norm(z) > 0.0)
+        theta = ls._polar_parts(x, z)[3]
+        single = ls._polar_parts(x[0], z)[3]
+        ls.theta_chain(theta, 2)        # passes the public angle check
+    for t in (theta, single):
+        assert np.all(np.isnan(t) | ((t >= 0.0) & (t <= math.pi)))
 
 
 def test_theta_chain_propagates_nan():
