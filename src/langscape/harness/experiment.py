@@ -284,7 +284,9 @@ def _invert_one(p: dict, seed: int, run_id: int):
 
     Returns ((run, observed coords, latent residual, intermediate
     residual), whether either descent diverged).  A diverged descent
-    reports the residual of its last recorded finite state.
+    reports the residual of its last recorded finite state.  Both descents
+    run on the observed rows of the last layer only; the others add
+    nothing to the loss or its gradient.
     """
     dims = p["dims"]
     rng = np.random.default_rng((seed, 11, run_id))
@@ -297,9 +299,11 @@ def _invert_one(p: dict, seed: int, run_id: int):
     m_obs = max(1, round(p["mask_fraction"] * dims[-1]))
     mask = np.zeros(dims[-1], dtype=bool)
     mask[rng.choice(dims[-1], size=m_obs, replace=False)] = True
+    G_obs = gen.ReluGenerator(dims=(*dims[:-1], m_obs),
+                              weights=(*G.weights[:-1], G.weights[-1][mask]))
     problem = gen.InverseProblem(
-        generator=G, map=gen.MeasurementMap(matrix=None, m=dims[-1]),
-        y=y, noise_sigma=p["noise_sigma"], mask=mask)
+        generator=G_obs, map=gen.MeasurementMap(matrix=None, m=m_obs),
+        y=y[mask], noise_sigma=p["noise_sigma"])
     z0 = rng.standard_normal(dims[0])
 
     def pg(z):

@@ -211,9 +211,11 @@ def _check_z_star(z_star) -> tuple[np.ndarray, float]:
     z = np.asarray(z_star, dtype=float)
     if z.ndim != 1:
         raise ValueError("z_star must be a 1-D vector")
-    s = float(np.linalg.norm(z))
-    if not (s > 0.0 and np.all(np.isfinite(z))):
-        raise ValueError("z_star must be a finite nonzero vector")
+    # NaN/inf entries, and finite ones whose norm overflows, fail the test
+    with np.errstate(over="ignore"):
+        s = float(np.linalg.norm(z))
+    if not 0.0 < s < math.inf:
+        raise ValueError("z_star must be a nonzero vector with a finite norm")
     return z, s
 
 

@@ -442,6 +442,17 @@ def test_contraction_check_fails_on_independent_noise(monkeypatch):
     assert "contraction excess 2.53e+00" in res.detail
 
 
+def test_baseline_ordering_check_fails_on_a_shrunken_l1_ball(monkeypatch):
+    # a ball a tenth of the radius keeps the intermediate descent too
+    # near its start to fit the observations better than latent descent
+    project = smp.project_l1
+    monkeypatch.setattr(smp, "project_l1", lambda v, center, radius:
+                        project(v, center, radius / 10))
+    res = hchecks.c11_baseline_ordering(0)
+    assert res.passed is False
+    assert res.statistic > res.bound
+
+
 def test_determinism_check_fails_on_a_changing_csv_row(monkeypatch):
     # every CSV written gets one more row, numbered by a process counter
     write, count = hexp._write_csv, itertools.count()
@@ -613,6 +624,62 @@ def test_cli_invert_non_finite_residuals_write_a_finite_svg(tmp_path):
     assert ET.fromstring(text).tag.endswith("svg")
     assert "nan" not in text.lower() and "inf" not in text.lower()
     assert "<polyline" not in text
+
+
+def _invert_one_full_width(p: dict, seed: int, run_id: int):
+    """The invert workload's problem solved on every output row, with the
+    unobserved ones masked out of the loss; same draws in the same order."""
+    dims = p["dims"]
+    rng = np.random.default_rng((seed, 11, run_id))
+    G = gen.build_generator(dims, seed=int(rng.integers(2**63)))
+    y = gen.forward(G, rng.standard_normal(dims[0]))[0]
+    if p["noise_sigma"] > 0:
+        y = y + p["noise_sigma"] * rng.standard_normal(dims[-1])
+    m_obs = max(1, round(p["mask_fraction"] * dims[-1]))
+    mask = np.zeros(dims[-1], dtype=bool)
+    mask[rng.choice(dims[-1], size=m_obs, replace=False)] = True
+    problem = gen.InverseProblem(
+        generator=G, map=gen.MeasurementMap(matrix=None, m=dims[-1]),
+        y=y, noise_sigma=p["noise_sigma"], mask=mask)
+    z0 = rng.standard_normal(dims[0])
+    tr_c = smp.run_gd(lambda z: gen.empirical_loss_grad(problem, z), z0,
+                      eta=p["eta_csgm"], steps=p["steps"],
+                      record_every=p["steps"])
+    tr_i = smp.run_ilo_baseline(problem, split_layer=p["split_layer"],
+                                radius=p["radius"], eta=p["eta_ilo"],
+                                steps=p["steps"], z0=z0)
+    row = (run_id, m_obs, math.sqrt(2.0 * float(tr_c.losses[-1])),
+           math.sqrt(2.0 * float(tr_i.losses[-1])))
+    return row, tr_c.aborted_at is not None or tr_i.aborted_at is not None
+
+
+_TINY_INVERT = {"dims": [4, 16, 64], "runs": 2, "steps": 40, "radius": 3.0,
+                "mask_fraction": 0.05}
+
+
+@pytest.mark.parametrize("raw, seed", [
+    (_TINY_INVERT, 0),                  # c12's invert config
+    (_TINY_INVERT, 7),
+    ({"dims": [4, 16, 256], "runs": 3, "steps": 60, "radius": 2.0,
+      "mask_fraction": 0.02, "noise_sigma": 0.05}, 0),
+    ({**_TINY_INVERT, "eta_csgm": 1e6, "eta_ilo": 1e6}, 0),   # run 1 stops
+    ({**_TINY_INVERT, "mask_fraction": 1.0, "noise_sigma": 0.1}, 0),
+], ids=["c12", "c12-seed7", "256-outputs", "diverging", "all-observed"])
+def test_invert_on_observed_rows_matches_the_masked_full_width_problem(
+        raw, seed):
+    # only the summation order over the rows changes, so the residuals
+    # agree to rounding, and bit for bit when every row is observed
+    p = validate_config("invert", raw).params
+    rows, aborted = hexp._invert_rows(p, seed)
+    ref = [_invert_one_full_width(p, seed, r) for r in range(p["runs"])]
+    assert [r[:2] for r in rows] == [r[:2] for r, _ in ref]
+    assert aborted == [r[0] for r, diverged in ref if diverged]
+    got, want = (np.array([r[2:] for r in rs], dtype=float)
+                 for rs in (rows, [r for r, _ in ref]))
+    if p["mask_fraction"] == 1.0:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def test_svg_skips_non_finite_points(tmp_path):

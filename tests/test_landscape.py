@@ -113,12 +113,26 @@ def test_polar_angles_lie_in_the_domain_or_are_nan(n, data):
     x = np.array(data.draw(st.lists(
         st.lists(_ANY_FLOAT, min_size=n, max_size=n), min_size=1, max_size=6)))
     with np.errstate(all="ignore"):
-        assume(np.linalg.norm(z) > 0.0)
+        assume(0.0 < np.linalg.norm(z) < math.inf)
         theta = ls._polar_parts(x, z)[3]
         single = ls._polar_parts(x[0], z)[3]
         ls.theta_chain(theta, 2)        # passes the public angle check
     for t in (theta, single):
         assert np.all(np.isnan(t) | ((t >= 0.0) & (t <= math.pi)))
+
+
+def test_z_star_needs_a_nonzero_finite_norm():
+    # (1e200, 1e200) is finite but its norm overflows: ideal_loss(z*, z*)
+    # was NaN and modified_loss (NaN, 0) instead of an error
+    params = ls.ModifiedLossParams.for_depth(2)
+    for bad in ([1e200, 1e200], [0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0]):
+        z = np.array(bad)
+        for oracle in (lambda: ls.ideal_loss(z, z, 2),
+                       lambda: ls.modified_loss(z, z, 2, params)):
+            with pytest.raises(ValueError, match="finite norm"):
+                oracle()
+    z = np.array([1e153, 1e153])
+    assert ls.ideal_loss(z, z, 2) == 0.0
 
 
 def test_theta_chain_propagates_nan():
