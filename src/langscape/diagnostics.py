@@ -225,7 +225,7 @@ def min_hessian_eig(x, z_star, d: int, n: int):
     """
     if np.shape(x)[-1:] != (n,):
         raise ValueError(f"x has shape {np.shape(x)}, expected (..., {n})")
-    c_rr, c_tt, c_psi, _ = ideal_hessian(x, z_star, d)
+    c_rr, c_tt, c_psi = ideal_hessian(x, z_star, d)
     lam_min = 0.5 * (c_rr + c_tt) - np.abs(0.5 * (c_rr - c_tt))
     return np.minimum(lam_min, c_psi) if n >= 3 else lam_min
 

@@ -449,8 +449,9 @@ def c11_baseline_ordering(seed: int) -> CheckResult:
                        ci_low=None, ci_high=None, passed=passed,
                        detail=f"median residual over {inv['runs']} runs at "
                               f"{rows[0][1]}/{inv['dims'][-1]} observed: "
-                              f"l1-projected intermediate {med_i:.4f} < "
-                              f"latent-only {med_c:.4f}")
+                              f"l1-projected intermediate {med_i:.4f} "
+                              f"{'<' if passed else '>='} latent-only "
+                              f"{med_c:.4f}")
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def _run_landscape(cfg, out: Path):
         raise ConfigError(f"config key 'r_max' {p['r_max']!r} is too small: "
                           f"a grid point's squares underflow ({exc})") from exc
     columns = (R, T, loss, ls.modified_loss(X, zs, d, params)[0],
-               *ls.potential(X, zs, d, params)[::2], eig)
+               *ls.potential(X, zs, d, params), eig)
     rows = list(zip(*(c.tolist() for c in columns)))
     _write_csv(out / "landscape_scan.csv",
                ["r", "theta", "loss", "loss_modified", "potential",
@@ -255,11 +255,11 @@ def _mix_curve(p: dict, seed: int):
     run = smp.run_langevin_ensemble(pg, z0, lcfg)
     ref = diag.reference_grid_sampler(d, beta, grid=p["grid"],
                                       count=p["chains"], seed=seed + 62)
-    recorded = set(run.step_indices.tolist())
-    rows = [(int(t), float(diag.sliced_w1(run.snapshot(t), ref.samples,
-                                          projections=p["projections"],
-                                          seed=seed + 63)))
-            for t in snapshots if t in recorded]
+    at = {t: i for i, t in enumerate(run.step_indices.tolist())}
+    rows = [(t, float(diag.sliced_w1(run.states[at[t]], ref.samples,
+                                     projections=p["projections"],
+                                     seed=seed + 63)))
+            for t in snapshots if t in at]
     return rows, np.nonzero(run.aborted_at >= 0)[0].tolist()
 
 
@@ -309,14 +309,17 @@ def _invert_one(p: dict, seed: int, run_id: int):
     def pg(z):
         return gen.empirical_loss_grad(problem, z)
 
-    tr_c = smp.run_gd(pg, z0, eta=p["eta_csgm"], steps=p["steps"],
-                      record_every=p["steps"])
+    # latent descent is the beta = inf chain: it draws no noise, so the
+    # seed is unused
+    tr_c = smp.run_langevin_ensemble(pg, z0[None], smp.LangevinConfig(
+        eta=p["eta_csgm"], beta=math.inf, steps=p["steps"], seed=0,
+        record_every=p["steps"]))
     tr_i = smp.run_ilo_baseline(problem, split_layer=p["split_layer"],
                                 radius=p["radius"], eta=p["eta_ilo"],
                                 steps=p["steps"], z0=z0)
-    row = (run_id, m_obs, math.sqrt(2.0 * float(tr_c.losses[-1])),
+    row = (run_id, m_obs, math.sqrt(2.0 * float(tr_c.losses[-1, 0])),
            math.sqrt(2.0 * float(tr_i.losses[-1])))
-    return row, tr_c.aborted_at is not None or tr_i.aborted_at is not None
+    return row, tr_c.aborted_at[0] >= 0 or tr_i.aborted_at is not None
 
 
 def _invert_rows(p: dict, seed: int):

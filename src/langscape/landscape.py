@@ -12,7 +12,7 @@ implements that limiting landscape exactly:
   ideal_loss, ideal_gradient and modified_loss run a first-order orbit,
   without g''),
 * the idealized loss L(r, theta) = r^2/2 - r cos(theta_d) + 1/2 with
-  gradient, polar Hessian coefficients and Laplacian,
+  gradient and polar Hessian coefficients,
 * a piecewise-quadratic smooth step and the smoothed loss that replaces L
   by a constant bump xi near the origin,
 * the drift potential V = Lhat - lambda cos(theta) step(r) 1(theta >= pi/2)
@@ -298,16 +298,15 @@ def ideal_gradient(x, z_star, d: int):
 
 
 def ideal_hessian(x, z_star, d: int):
-    """Polar Hessian coefficients and Laplacian of ideal_loss at x != 0.
+    """Polar Hessian coefficients of ideal_loss at x != 0.
 
-    Returns (c_rr, c_tt, c_psi, laplacian): in an orthonormal basis
-    (rhat, thetahat, psi_1..psi_{n-2}) the Hessian is diag(c_rr, c_tt) on
-    the first block and c_psi I on the complement (no mixed term, since
-    L_rtheta = L_theta / r), and laplacian = c_rr + c_tt + (n-2) c_psi
-    with n = x.shape[-1].  Coefficients are ambient second derivatives,
-    i.e. the canonical values divided by ||z*||^2.
+    Returns (c_rr, c_tt, c_psi): in an orthonormal basis (rhat, thetahat,
+    psi_1..psi_{n-2}) the Hessian is diag(c_rr, c_tt) on the first block
+    and c_psi I on the complement (no mixed term, since L_rtheta
+    = L_theta / r).  Coefficients are ambient second derivatives, i.e. the
+    canonical values divided by ||z*||^2.
     """
-    x, s, r, theta, _, _ = _polar_parts(x, z_star)
+    _, s, r, theta, _, _ = _polar_parts(x, z_star)
     if np.any(r == 0.0):
         raise ValueError("Hessian undefined at x = 0")
     c = _orbit(theta, d, True)
@@ -319,7 +318,7 @@ def ideal_hessian(x, z_star, d: int):
             + np.sin(c.theta_d) * c.theta_d_double_prime) / r / s2
     c_psi = ((r - cos_td) / r
              + _tangential_ratio(theta, c) * np.cos(theta) / r) / s2
-    return c_rr, c_tt, c_psi, c_rr + c_tt + (x.shape[-1] - 2) * c_psi
+    return c_rr, c_tt, c_psi
 
 
 def hessian_vector_product(x, z_star, d: int, v):
@@ -335,8 +334,7 @@ def hessian_vector_product(x, z_star, d: int, v):
     v = np.asarray(v, dtype=float)
     if v.shape != x.shape:
         raise ValueError("x and v must share one shape (..., n)")
-    c_rr, c_tt, c_psi = (c[..., None] for c in
-                         ideal_hessian(x, z_star, d)[:3])
+    c_rr, c_tt, c_psi = (c[..., None] for c in ideal_hessian(x, z_star, d))
     st = np.sin(theta)[..., None]
     off = st >= 1e-8
     that = np.where(off, np.cos(theta)[..., None] * rhat - zhat, 0.0) \
@@ -408,12 +406,12 @@ def potential(x, z_star, d: int, params: ModifiedLossParams):
     """Drift potential V and its chain generator.
 
     V = Lhat - lam cos(theta) step(r0, 3 r0/2)(r) on theta >= pi/2 and
-    V = Lhat otherwise.  Returns (V, grad_V, script_LV) where
+    V = Lhat otherwise.  Returns (V, script_LV) where
     script_LV = lap(V) - beta <grad Lhat, grad V> with beta from params;
     the angular term makes script_LV strictly negative near the saddle.
     Scalar fields broadcast; x = 0 is handled by the analytic limits.
     """
-    x, s, r, theta, rhat, zhat = _polar_parts(x, z_star)
+    x, s, r, theta, _, _ = _polar_parts(x, z_star)
     n = x.shape[-1]
     lam = params.lam
 
@@ -426,15 +424,11 @@ def potential(x, z_star, d: int, params: ModifiedLossParams):
 
     V = Lhat - lam * ct * h3 * ind
 
-    # polar gradient components; the angular-term tangential part is
-    # (lam h3 / r)(cos rhat - zhat), free of sin division
+    # polar gradient components of the angular term, free of sin division
     pos = r > 0.0
     rsafe = np.where(pos, r, 1.0)
     W_r = -lam * ct * h3_r * ind
     w_tan = lam * h3 / rsafe * ind            # W_theta / (r sin(theta))
-    coef_z = ratio_h + w_tan
-    grad_V = _ambient_gradient(Lhat_r + W_r + coef_z * ct, coef_z,
-                               rhat, zhat, s, r)
 
     # Laplacians; near the origin Lhat is the smooth quadratic
     # xi (1 - 2 r^2 / r0^2), so at r = 0 the Laplacian is -4 n xi / r0^2
@@ -458,4 +452,4 @@ def potential(x, z_star, d: int, params: ModifiedLossParams):
     L_tan = ratio_h * st                      # Lhat_theta / r
     inner = Lhat_r * (Lhat_r + W_r) + L_tan * (L_tan + w_tan * st)
 
-    return V, grad_V, (lap_Lhat + lap_W - params.beta * inner) / (s * s)
+    return V, (lap_Lhat + lap_W - params.beta * inner) / (s * s)

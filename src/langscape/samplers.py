@@ -3,12 +3,13 @@
 One update rule underlies everything here: z <- z - eta grad U(z)
 + sqrt(2 eta / beta) u with u ~ N(0, I), the unadjusted Langevin chain
 targeting exp(-beta U).  One loop (_chain) runs every variant on a
-batch of chains (a single chain is a batch of one): Langevin ensembles,
-gradient descent (beta = inf), l1-projected intermediate-layer descent
-(the classical sparse-deviations baseline), posterior SGLD on an
-intermediate latent with an exact mixture score, and synchronously
-coupled chain pairs sharing their noise.  A chain whose state, potential
-or gradient turns non-finite stops at its last finite state.
+batch of chains (a single chain is a batch of one): Langevin ensembles
+(gradient descent is the beta = inf ensemble), l1-projected descent on
+an intermediate layer (the classical sparse-deviations baseline),
+posterior SGLD on an intermediate latent with an exact mixture score,
+and synchronously coupled chain pairs sharing their noise.  A chain
+whose state, potential or gradient turns non-finite stops at its last
+finite state.
 
 Potential oracles are callables z -> (U(z), grad U(z)), read-only and
 reentrant; every sampler is a deterministic function of (arguments, seed).
@@ -31,7 +32,6 @@ __all__ = [
     "Trajectory",
     "EnsembleRun",
     "run_langevin_ensemble",
-    "run_gd",
     "project_l1",
     "run_ilo_baseline",
     "posterior_sgld",
@@ -59,12 +59,14 @@ class LangevinConfig:
 
     @property
     def sigma_step(self) -> float:
-        return math.sqrt(2.0 * self.eta / self.beta)
+        """sqrt(2 eta / beta); 0 at beta = inf even where 2 eta overflows."""
+        return 0.0 if self.beta == math.inf else \
+            math.sqrt(2.0 * self.eta / self.beta)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded chain states with their potentials.
+    """Recorded states and potentials of run_ilo_baseline's descent.
 
     step_indices maps records to chain steps; aborted_at is the step at
     which the state, potential or gradient first turned non-finite (the
@@ -90,18 +92,6 @@ class EnsembleRun:
     losses: np.ndarray
     step_indices: np.ndarray
     aborted_at: np.ndarray
-
-    def snapshot(self, step: int) -> np.ndarray:
-        """States (chains, dim) recorded at an exact chain step."""
-        hits = np.nonzero(self.step_indices == step)[0]
-        if len(hits) == 0:
-            raise KeyError(f"step {step} was not recorded")
-        return self.states[hits[0]]
-
-
-def _trajectory(states, losses, step_indices, aborted) -> Trajectory:
-    return Trajectory(states=states, losses=losses, step_indices=step_indices,
-                      aborted_at=None if aborted < 0 else int(aborted))
 
 
 def _finite_rows(z, u, g) -> np.ndarray:
@@ -170,7 +160,8 @@ def run_langevin_ensemble(potential_grad, z0: np.ndarray,
     """Advance (chains, dim) independent Langevin chains in lockstep.
 
     z <- z - eta grad U + sqrt(2 eta / beta) u, recorded every
-    record_every steps (always step 0 and the final step).  The
+    record_every steps (always step 0 and the final step); beta = inf is
+    gradient descent, which draws no noise (the seed is unused).  The
     potential oracle must accept batched states.  One RNG stream
     drives all chains (a (chains, dim) draw per step), so the run is
     deterministic for a fixed seed but chains are not individually
@@ -183,20 +174,6 @@ def run_langevin_ensemble(potential_grad, z0: np.ndarray,
     return EnsembleRun(*_chain(
         potential_grad, z0, cfg.eta, cfg.sigma_step, cfg.steps,
         cfg.record_every, noise=lambda: rng.standard_normal(np.shape(z0))))
-
-
-def run_gd(potential_grad, z0, eta: float, steps: int,
-           record_every: int = 1) -> Trajectory:
-    """Gradient descent z <- z - eta grad U(z), the beta = inf chain.
-
-    A non-finite state, potential or gradient stops the descent; the
-    trajectory then ends at the last finite state and aborted_at gives
-    the step.
-    """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return _trajectory(*_chain(potential_grad, z0, eta, 0.0, steps,
-                               record_every))
 
 
 def project_l1(v, center, radius: float) -> np.ndarray:
@@ -249,9 +226,11 @@ def run_ilo_baseline(problem: InverseProblem, split_layer: int, radius: float,
     w0 = forward(G1, np.asarray(z0, dtype=float))[0]
     sub = InverseProblem(generator=G2, map=problem.map, y=problem.y,
                          noise_sigma=problem.noise_sigma, mask=problem.mask)
-    return _trajectory(*_chain(lambda w: empirical_loss_grad(sub, w), w0,
-                               eta, 0.0, steps, 1,
-                               project=lambda w: project_l1(w, w0, radius)))
+    states, losses, step_indices, aborted = _chain(
+        lambda w: empirical_loss_grad(sub, w), w0, eta, 0.0, steps, 1,
+        project=lambda w: project_l1(w, w0, radius))
+    return Trajectory(states=states, losses=losses, step_indices=step_indices,
+                      aborted_at=None if aborted < 0 else int(aborted))
 
 
 def posterior_sgld(problem: InverseProblem, prior: GaussianMixturePrior,

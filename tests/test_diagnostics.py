@@ -258,3 +258,38 @@ def test_discretization_gap_scales_like_sqrt_eta():
                                    seed=SEED + 15, beta=4.0)
     assert coarse > fine > 0.0
     assert 1.5 <= coarse / fine <= 2.8
+
+
+def _no_chains():
+    """A hand-built run with two records and no chains."""
+    return smp.EnsembleRun(states=np.zeros((2, 0, 2)), losses=np.zeros((2, 0)),
+                           step_indices=np.array([0, 1000]),
+                           aborted_at=np.zeros(0, dtype=int))
+
+
+_QUAD = (lambda Z: (0.5 * np.sum(Z * Z, axis=-1), Z))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: diag.EmpiricalDistribution(samples=[[np.nan, 0.0]]),
+     "nonempty finite"),
+    (lambda: diag.EmpiricalDistribution(samples=np.zeros((0, 2))),
+     "nonempty finite"),
+    (lambda: diag.tail_statistics(_no_chains(), beta=1.0, eta=0.01, A=0.3),
+     "at least one trial"),
+    (lambda: diag.sliced_w1(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)),
+                            projections=4, seed=0), r"\(count, dim\) matrix"),
+    (lambda: diag.sliced_w1(np.zeros((3, 2)), np.zeros((3, 3)),
+                            projections=4, seed=0), "share a dimension"),
+    (lambda: diag.potential_drift(np.array([0.5, 0.0]), np.array([1.0, 0.0]),
+                                  2, ls.ModifiedLossParams.for_depth(2),
+                                  eta=-1e-3, trials=100, seed=0),
+     "step size must be nonnegative"),
+    (lambda: diag.discretization_gap(_QUAD, np.ones(2), eta=0.1, refinement=0,
+                                     T_steps=1, trials=2, seed=0),
+     "refinement must be >= 1"),
+], ids=["non-finite-samples", "no-samples", "no-chains", "3-d-cloud",
+        "dimension-mismatch", "negative-drift-step", "zero-refinement"])
+def test_diagnostics_reject_invalid_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -282,3 +282,45 @@ def test_invalid_generator_dims():
         gen.build_generator([5], seed=0)
     with pytest.raises(ValueError):
         gen.build_generator([0, 4], seed=0)
+
+
+def _problem(y=np.zeros(2), noise_sigma=0.0, mask=None):
+    return gen.InverseProblem(generator=None,
+                              map=gen.MeasurementMap(matrix=None, m=2), y=y,
+                              noise_sigma=noise_sigma, mask=mask)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: gen.ReluGenerator(dims=(2, 0), weights=(np.zeros((0, 2)),)),
+     "dims must be >= 2 positive integers"),
+    (lambda: gen.ReluGenerator(dims=(2, 3), weights=()),
+     "expected 1 weight matrices, got 0"),
+    (lambda: gen.ReluGenerator(dims=(2, 3), weights=(np.zeros((2, 3)),)),
+     r"layer 1 has shape \(2, 3\), expected \(3, 2\)"),
+    (lambda: gen.ReluGenerator(dims=(2, 3),
+                               weights=(np.full((3, 2), np.inf),)),
+     "layer 1 contains non-finite entries"),
+    (lambda: gen.MeasurementMap(matrix=np.zeros((3, 4)), m=2),
+     "inconsistent with m=2"),
+    (lambda: gen.MeasurementMap(matrix=np.full((2, 4), np.nan), m=2),
+     "non-finite rows"),
+    (lambda: _problem(y=np.zeros(3)), r"y has shape \(3,\), expected \(2,\)"),
+    (lambda: _problem(noise_sigma=-0.1), "noise_sigma must be nonnegative"),
+    (lambda: _problem(mask=np.ones(3, dtype=bool)),
+     "mask length must equal measurement count"),
+    (lambda: gen.forward(gen.build_generator([3, 5], seed=0), np.zeros(4)),
+     "latent has dimension 4, generator expects 3"),
+    (lambda: gen.wdc_deviation(np.ones((4, 3)), np.ones(2), np.ones(3)),
+     r"W must be \(n, k\)"),
+    (lambda: gen.wdc_deviation(np.ones((4, 3)), np.zeros(3), np.ones(3)),
+     "requires nonzero x and y"),
+    (lambda: gen.gradient_proximity(gen.build_generator([2, 8, 16], seed=0),
+                                    np.zeros(2), sample_count=4, seed=0),
+     "z_star must be nonzero"),
+], ids=["bad-dims", "weight-count", "weight-shape", "non-finite-weight",
+        "map-shape", "non-finite-map", "y-shape", "negative-noise",
+        "mask-length", "latent-dim", "wdc-shapes", "wdc-zero-x",
+        "proximity-zero-target"])
+def test_generator_rejects_invalid_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

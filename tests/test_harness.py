@@ -232,8 +232,7 @@ def test_landscape_scan_equals_single_point_oracles(tmp_path):
         x = r * (math.cos(t) * np.eye(n)[0] + math.sin(t) * np.eye(n)[1])
         want = (r, t, ls.ideal_loss(x, zs, d),
                 ls.modified_loss(x, zs, d, params)[0],
-                ls.potential(x, zs, d, params)[0],
-                ls.potential(x, zs, d, params)[2],
+                *ls.potential(x, zs, d, params),
                 diag.min_hessian_eig(x, zs, d, n))
         assert line == ",".join(repr(float(v)) for v in want)
 
@@ -411,13 +410,28 @@ def test_convexity_check_fails_on_scaled_rotational_curvature(monkeypatch):
     hess = ls.ideal_hessian
 
     def scaled(x, zs, d):
-        c_rr, c_tt, c_psi, lap = hess(x, zs, d)
-        return c_rr, c_tt, 1.01 * c_psi, lap
+        c_rr, c_tt, c_psi = hess(x, zs, d)
+        return c_rr, c_tt, 1.01 * c_psi
     monkeypatch.setattr(ls, "ideal_hessian", scaled)
     monkeypatch.setattr(diag, "ideal_hessian", scaled)
     res = hchecks.c03_convexity_ball(0)
     assert not res.passed
     assert "max |H - I| = 1.00e-02" in res.detail
+
+
+def test_fd_check_fails_on_scaled_tangential_curvature(monkeypatch):
+    # c_tt 1% too large: the Hessian-vector products leave the finite
+    # differences of the gradient (c03 passes with this defect)
+    hess = ls.ideal_hessian
+
+    def scaled(x, zs, d):
+        c_rr, c_tt, c_psi = hess(x, zs, d)
+        return c_rr, 1.01 * c_tt, c_psi
+    monkeypatch.setattr(ls, "ideal_hessian", scaled)
+    monkeypatch.setattr(diag, "ideal_hessian", scaled)
+    res = hchecks.c01_gradient_fd(0)
+    assert not res.passed
+    assert res.statistic > 5e-3          # 0.0099 against a bound of 1e-5
 
 
 def test_escape_check_fails_on_ascending_gradient(monkeypatch):
@@ -442,6 +456,17 @@ def test_contraction_check_fails_on_independent_noise(monkeypatch):
     assert "contraction excess 2.53e+00" in res.detail
 
 
+def test_hitting_time_check_fails_on_a_negated_gradient(monkeypatch):
+    # chains that climb the loss never reach the ball around z*
+    grad = ls.ideal_gradient
+    monkeypatch.setattr(ls, "ideal_gradient",
+                        lambda X, zs, d: -grad(X, zs, d))
+    res = hchecks.c08_hitting_time(0)
+    assert res.passed is False
+    assert math.isnan(res.statistic)
+    assert res.detail == "50 chains never hit at eta=0.02"
+
+
 def test_baseline_ordering_check_fails_on_a_shrunken_l1_ball(monkeypatch):
     # a ball a tenth of the radius keeps the intermediate descent too
     # near its start to fit the observations better than latent descent
@@ -451,6 +476,9 @@ def test_baseline_ordering_check_fails_on_a_shrunken_l1_ball(monkeypatch):
     res = hchecks.c11_baseline_ordering(0)
     assert res.passed is False
     assert res.statistic > res.bound
+    # the detail states the relation that holds, not the one hoped for
+    assert "intermediate 0.1774 >= latent-only 0.0973" in res.detail
+    assert "<" not in res.detail
 
 
 def test_determinism_check_fails_on_a_changing_csv_row(monkeypatch):
@@ -461,6 +489,21 @@ def test_determinism_check_fails_on_a_changing_csv_row(monkeypatch):
     res = hchecks.c12_determinism(0)
     assert not res.passed
     assert res.statistic == 6.0        # every mode that writes a CSV
+
+
+def test_determinism_check_fails_on_an_extra_file_per_run(monkeypatch):
+    # each run leaves one more file, named by a process counter
+    run, count = hexp.run_experiment, itertools.count()
+
+    def leaky(cfg):
+        code = run(cfg)
+        (Path(cfg.out_dir) / f"extra{next(count)}.txt").write_text("x")
+        return code
+    monkeypatch.setattr(hexp, "run_experiment", leaky)
+    res = hchecks.c12_determinism(0)
+    assert not res.passed
+    assert res.statistic == 7.0        # every mode
+    assert res.detail.count("file sets differ") == 7
 
 
 # ---------------------------------------------------------------------------
@@ -642,15 +685,16 @@ def _invert_one_full_width(p: dict, seed: int, run_id: int):
         generator=G, map=gen.MeasurementMap(matrix=None, m=dims[-1]),
         y=y, noise_sigma=p["noise_sigma"], mask=mask)
     z0 = rng.standard_normal(dims[0])
-    tr_c = smp.run_gd(lambda z: gen.empirical_loss_grad(problem, z), z0,
-                      eta=p["eta_csgm"], steps=p["steps"],
-                      record_every=p["steps"])
+    tr_c = smp.run_langevin_ensemble(
+        lambda z: gen.empirical_loss_grad(problem, z), z0[None],
+        smp.LangevinConfig(eta=p["eta_csgm"], beta=math.inf,
+                           steps=p["steps"], seed=0, record_every=p["steps"]))
     tr_i = smp.run_ilo_baseline(problem, split_layer=p["split_layer"],
                                 radius=p["radius"], eta=p["eta_ilo"],
                                 steps=p["steps"], z0=z0)
-    row = (run_id, m_obs, math.sqrt(2.0 * float(tr_c.losses[-1])),
+    row = (run_id, m_obs, math.sqrt(2.0 * float(tr_c.losses[-1, 0])),
            math.sqrt(2.0 * float(tr_i.losses[-1])))
-    return row, tr_c.aborted_at is not None or tr_i.aborted_at is not None
+    return row, tr_c.aborted_at[0] >= 0 or tr_i.aborted_at is not None
 
 
 _TINY_INVERT = {"dims": [4, 16, 64], "runs": 2, "steps": 40, "radius": 3.0,

@@ -267,8 +267,10 @@ def test_hessian_vector_product_matches_fd_hessian():
             H_fd = fd_hessian(lambda q: ls.ideal_gradient(q, zs, d), p)
             assert np.allclose(H, H.T, atol=1e-11)
             assert np.max(np.abs(H - H_fd)) < 1e-5
-            lap = ls.ideal_hessian(p, zs, d)[3]
-            assert lap == pytest.approx(float(np.trace(H)), abs=1e-10)
+            # c_psi spans the n - 2 directions off the (x, z*) plane
+            c_rr, c_tt, c_psi = ls.ideal_hessian(p, zs, d)
+            assert c_rr + c_tt + (n - 2) * c_psi \
+                == pytest.approx(float(np.trace(H)), abs=1e-10)
 
 
 def test_hessian_identity_at_minimizer():
@@ -373,22 +375,9 @@ def test_modified_loss_gradient_matches_fd():
         assert np.linalg.norm(fd - got) < 1e-5 * max(1.0, np.linalg.norm(got))
 
 
-def test_potential_gradient_matches_fd():
-    zs = np.array([0.0, 2.0, 0.0])             # non-unit target
-    params = ls.ModifiedLossParams.for_depth(2, beta=10.0)
-    rng = np.random.default_rng(SEED + 7)
-    for _ in range(60):
-        x = rng.standard_normal(3)
-        x *= rng.uniform(0.05, 2.0) / np.linalg.norm(x)
-        fd = fd_gradient(lambda p: ls.potential(p, zs, 2, params)[0], x,
-                         h=1e-7)
-        _, got, _ = ls.potential(x, zs, 2, params)
-        assert np.linalg.norm(fd - got) < 1e-5 * max(1.0, np.linalg.norm(got))
-
-
 def test_potential_is_modified_loss_where_escape_term_is_off():
-    # V = Lhat bit for bit wherever theta < pi/2 or r <= r0: value and
-    # gradient come from one shared derivation of the smoothed loss
+    # V = Lhat bit for bit wherever theta < pi/2 or r <= r0: both come
+    # from one shared derivation of the smoothed loss
     rng = np.random.default_rng(SEED + 9)
     for n, d, scale in ((2, 2, 1.0), (3, 2, 2.5), (5, 3, 0.7), (8, 4, 1.0)):
         zs = rng.standard_normal(n)
@@ -400,16 +389,14 @@ def test_potential_is_modified_loss_where_escape_term_is_off():
         r = np.linalg.norm(X, axis=1) / scale
         off = (X @ zs > 0.0) | (r <= params.r0)
         X = X[off]
-        val, grad = ls.modified_loss(X, zs, d, params)
-        V, grad_V, _ = ls.potential(X, zs, d, params)
+        val, _ = ls.modified_loss(X, zs, d, params)
+        V, _ = ls.potential(X, zs, d, params)
         assert len(X) > 100
         assert V.tobytes() == val.tobytes()
-        assert grad_V.tobytes() == grad.tobytes()
         for x in X[-5:]:
-            one_val, one_grad = ls.modified_loss(x, zs, d, params)
-            one_V, one_grad_V, _ = ls.potential(x, zs, d, params)
+            one_val, _ = ls.modified_loss(x, zs, d, params)
+            one_V, _ = ls.potential(x, zs, d, params)
             assert np.float64(one_V).tobytes() == np.float64(one_val).tobytes()
-            assert one_grad_V.tobytes() == one_grad.tobytes()
         # and the escape term is on behind the saddle, past r0
         x = -1.25 * params.r0 * zs
         assert ls.potential(x, zs, d, params)[0] \
@@ -481,9 +468,10 @@ def test_generator_functional_matches_fd_laplacian():
             return ls.modified_loss(p, zs, 2, params)[0]
 
         lap = fd_laplacian(lhat, x, h=2e-5)
-        _, grad_v, script = ls.potential(x, zs, 2, params)
+        _, script = ls.potential(x, zs, 2, params)
         _, grad_lhat = ls.modified_loss(x, zs, 2, params)
-        v_only = ls.potential(x, zs, 2, params)[0]
+        grad_v = fd_gradient(lambda p: ls.potential(p, zs, 2, params)[0], x,
+                             h=1e-7)
 
         # recompute script from its definition pieces
         def w_part(p):
@@ -501,9 +489,9 @@ def test_generator_functional_landmarks():
         zs = np.zeros(n)
         zs[0] = 1.0
         params = ls.ModifiedLossParams.for_depth(2)
-        _, _, script = ls.potential(zs, zs, 2, params)
+        _, script = ls.potential(zs, zs, 2, params)
         assert script == pytest.approx(float(n), abs=1e-9)
-        _, _, script0 = ls.potential(np.zeros(n), zs, 2, params)
+        _, script0 = ls.potential(np.zeros(n), zs, 2, params)
         assert script0 == pytest.approx(-4.0 * n * params.xi
                                         / (params.r0 * params.r0), rel=1e-12)
 
@@ -511,3 +499,18 @@ def test_generator_functional_landmarks():
 def test_modified_params_validation():
     with pytest.raises(ValueError):
         ls.ModifiedLossParams(r0=-1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ls.ModifiedLossParams.for_depth(1), "depth must be >= 2, got 1"),
+    (lambda: ls.ideal_loss(np.ones(2), np.eye(2), 2),
+     "z_star must be a 1-D vector"),
+    (lambda: ls.ideal_loss(np.ones(3), np.array([1.0, 0.0]), 2),
+     "x has last dimension 3, z_star has 2"),
+    (lambda: ls.hessian_vector_product(np.ones(2), np.array([1.0, 0.0]), 2,
+                                       np.ones(3)),
+     "x and v must share one shape"),
+], ids=["depth-1-bump", "2-d-target", "dimension-mismatch", "hvp-shape"])
+def test_landscape_rejects_invalid_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

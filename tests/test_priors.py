@@ -129,3 +129,19 @@ def test_log_density_and_score_match_scipy_logsumexp_bit_for_bit(monkeypatch):
         assert np.shape(logp) == np.shape(ref_logp) == z.shape[:-1]
         assert np.asarray(logp).tobytes() == np.asarray(ref_logp).tobytes()
         assert score.tobytes() == ref_score.tobytes()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: priors.GaussianMixturePrior(weights=np.array([0.5, 0.5]),
+                                         means=np.zeros((1, 2)),
+                                         variances=np.ones(2)),
+     "matching counts"),
+    (lambda: priors.gmm_log_density_and_score(
+        priors.GaussianMixturePrior.standard(2), np.zeros(3)),
+     "z has dimension 3, prior is 2-d"),
+    (lambda: priors.sample_prior(priors.GaussianMixturePrior.standard(2), 0,
+                                 seed=0), "count must be >= 1"),
+], ids=["component-count", "score-dim", "zero-count"])
+def test_priors_reject_invalid_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -40,6 +40,13 @@ def test_langevin_config_validation():
     assert cfg.sigma_step == pytest.approx(math.sqrt(2 * 0.1 / 4.0))
 
 
+def test_zero_temperature_draws_no_noise_even_where_two_eta_overflows():
+    # 2 eta is inf for eta > ~8.99e307, and inf / inf would be NaN
+    for eta in (0.1, 1e308):
+        cfg = smp.LangevinConfig(eta=eta, beta=math.inf, steps=1, seed=0)
+        assert cfg.sigma_step == 0.0
+
+
 def test_trajectory_recording_grid():
     pg = _quad(np.ones(2))
     cfg = smp.LangevinConfig(eta=0.01, beta=5.0, steps=25, seed=SEED,
@@ -49,7 +56,6 @@ def test_trajectory_recording_grid():
     assert list(run.step_indices) == [0, 10, 20, 25]
     assert run.states.shape == (4, 1, 2)
     assert run.losses.shape == (4, 1)
-    assert np.array_equal(run.snapshot(25), run.states[-1])
     assert list(run.aborted_at) == [-1]
 
 
@@ -80,18 +86,17 @@ def test_langevin_zero_temperature_limit_is_gd():
     assert np.allclose(run.states[-1, 0], exact, atol=1e-7)
 
 
-def _chains(run):
-    """(states, step_indices, aborted_at) of every chain of a run."""
-    if isinstance(run, smp.Trajectory):
-        return [(run.states, run.step_indices, run.aborted_at)]
-    return [(run.states[:, c], run.step_indices, run.aborted_at[c])
-            for c in range(run.states.shape[1])]
+def _gd(pg, z0, cfg):
+    """Gradient descent: the beta = inf ensemble, a batch of one."""
+    return smp.run_langevin_ensemble(pg, z0[None], smp.LangevinConfig(
+        eta=cfg.eta, beta=math.inf, steps=cfg.steps, seed=0,
+        record_every=cfg.record_every))
 
 
 _DIVERGING = {
     "run_langevin_ensemble": lambda pg, z0, cfg: smp.run_langevin_ensemble(
         pg, z0[None], cfg),
-    "run_gd": lambda pg, z0, cfg: smp.run_gd(pg, z0, cfg.eta, cfg.steps),
+    "beta-inf": _gd,
     "coupled_pair": lambda pg, z0, cfg: smp.coupled_pair(pg, z0, -z0, cfg),
 }
 
@@ -103,12 +108,13 @@ def test_langevin_abort_on_divergence(run):
     cfg = smp.LangevinConfig(eta=1.0, beta=1.0, steps=400, seed=SEED + 3,
                              record_every=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        chains = _chains(run(pg, np.array([1.0]), cfg))
-    for states, step_indices, aborted_at in chains:
-        assert aborted_at is not None and aborted_at > 0
+        out = run(pg, np.array([1.0]), cfg)
+    for c, aborted_at in enumerate(out.aborted_at):
+        states = out.states[:, c]
+        assert aborted_at > 0
         assert np.all(np.isfinite(states))
         # the chain stopped at its state of the step before the abort
-        last = states[step_indices == aborted_at - 1]
+        last = states[out.step_indices == aborted_at - 1]
         assert np.array_equal(states[-1], last[0])
 
 
@@ -145,28 +151,45 @@ def test_ensemble_matches_single_chain_api():
                              record_every=8)
     run = smp.run_langevin_ensemble(pg, z0, cfg)
     assert run.states.shape[1:] == (5, 3)
-    snap = run.snapshot(40)
-    assert snap.shape == (5, 3)
-    assert np.array_equal(snap, run.states[-1])
+    assert list(run.step_indices) == [0, 8, 16, 24, 32, 40]
     # a single chain is a batch of one, on the same recording grid
     one = smp.run_langevin_ensemble(pg, z0[2:3], cfg)
     assert one.states.shape == (len(run.step_indices), 1, 3)
     assert np.array_equal(one.step_indices, run.step_indices)
-    with pytest.raises(KeyError):
-        run.snapshot(41)
 
 
 # ---------------------------------------------------------------------------
-# gradient descent
+# gradient descent: the beta = inf chain
 
 
-def test_run_gd_quadratic_convergence():
+def test_zero_temperature_chain_is_gradient_descent_bit_for_bit():
+    # the same updates as a hand-written z - eta g loop, at a step whose
+    # 2 eta overflows too, with no noise drawn
     a = np.array([0.5, 1.5, 1.0])
     pg = _quad(a)
-    traj = smp.run_gd(pg, np.array([2.0, -1.0, 0.5]), eta=0.4, steps=200,
-                      record_every=50)
-    assert np.linalg.norm(traj.states[-1]) < 1e-10
-    assert traj.losses[-1] < 1e-20
+    for eta, steps, scale in ((0.4, 30, 1.0), (1e308, 1, 1e-308)):
+        z = scale * np.array([2.0, -1.0, 0.5])
+        cfg = smp.LangevinConfig(eta=eta, beta=math.inf, steps=steps,
+                                 seed=0)
+        run = smp.run_langevin_ensemble(pg, z[None], cfg)
+        assert list(run.aborted_at) == [-1]
+        want = [z]
+        for _ in range(steps):
+            want.append(want[-1] - eta * pg(want[-1])[1])
+        assert run.states[:, 0].tobytes() == np.array(want).tobytes()
+        assert run.losses[:, 0].tobytes() \
+            == np.array([pg(w)[0] for w in want]).tobytes()
+
+
+def test_zero_temperature_chain_converges_on_a_quadratic():
+    a = np.array([0.5, 1.5, 1.0])
+    pg = _quad(a)
+    cfg = smp.LangevinConfig(eta=0.4, beta=math.inf, steps=200, seed=0,
+                             record_every=50)
+    run = smp.run_langevin_ensemble(pg, np.array([[2.0, -1.0, 0.5]]), cfg)
+    assert list(run.step_indices) == [0, 50, 100, 150, 200]
+    assert np.linalg.norm(run.states[-1, 0]) < 1e-10
+    assert run.losses[-1, 0] < 1e-20
 
 
 def test_descent_stops_on_a_non_finite_state_the_oracle_masks():
@@ -176,9 +199,10 @@ def test_descent_stops_on_a_non_finite_state_the_oracle_masks():
         return (10.0 * np.sum(np.where(on, z, 0.0), axis=-1),
                 np.where(on, 10.0, 0.0))
 
-    traj = smp.run_gd(relu_loss, np.ones(3), eta=1e308, steps=5)
-    assert traj.aborted_at == 1
-    assert traj.states.tolist() == [[1.0, 1.0, 1.0]]
+    cfg = smp.LangevinConfig(eta=1e308, beta=math.inf, steps=5, seed=0)
+    run = smp.run_langevin_ensemble(relu_loss, np.ones((1, 3)), cfg)
+    assert run.aborted_at.tolist() == [1]
+    assert run.states.tolist() == [[[1.0, 1.0, 1.0]]]
 
 
 def test_descent_from_a_non_finite_start_stops_at_step_zero():
@@ -188,10 +212,11 @@ def test_descent_from_a_non_finite_start_stops_at_step_zero():
         calls.append(z)
         return 0.5 * np.sum(z * z, axis=-1), z
 
-    traj = smp.run_gd(pg, np.array([np.nan, 1.0]), eta=0.1, steps=3)
-    assert traj.aborted_at == 0
-    assert np.array_equal(traj.states, [[np.nan, 1.0]], equal_nan=True)
-    assert list(traj.step_indices) == [0]
+    cfg = smp.LangevinConfig(eta=0.1, beta=math.inf, steps=3, seed=0)
+    run = smp.run_langevin_ensemble(pg, np.array([[np.nan, 1.0]]), cfg)
+    assert run.aborted_at.tolist() == [0]
+    assert np.array_equal(run.states, [[[np.nan, 1.0]]], equal_nan=True)
+    assert list(run.step_indices) == [0]
     assert len(calls) == 1
 
 
@@ -477,3 +502,16 @@ def test_coupled_pair_contracts_on_quadratic():
         if gaps[i] < 1e-9:
             break
         assert gaps[i + 1] <= factor * gaps[i] + 1e-12
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda cfg: smp.run_langevin_ensemble(_quad(np.ones(2)), np.zeros(2),
+                                           cfg),
+     r"ensemble start must have shape \(chains, dim\)"),
+    (lambda cfg: smp.coupled_pair(_quad(np.ones(2)), np.zeros(2), np.zeros(3),
+                                  cfg), "coupled starts must share a shape"),
+], ids=["1-d-ensemble-start", "coupled-start-shapes"])
+def test_samplers_reject_invalid_starts(call, match):
+    cfg = smp.LangevinConfig(eta=0.1, beta=1.0, steps=2, seed=0)
+    with pytest.raises(ValueError, match=match):
+        call(cfg)
