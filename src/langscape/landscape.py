@@ -170,12 +170,13 @@ def _orbit(T, d: int, second: bool) -> ThetaChain:
         raise TypeError("depth must be an integer")
     if d < 0:
         raise ValueError("depth must be nonnegative")
-    P = np.ones_like(T)
+    # a first-order orbit starts at P = g'(T), the bytes of g'(T) * 1
+    P = None if d and not second else np.ones_like(T)
     S = np.zeros_like(T) if second else None
-    for _ in range(int(d)):
+    for _ in range(d):
         g, gp, gpp = _g_core(T, second)
         S = gpp * P * P + gp * S if second else None
-        P = gp * P
+        P = gp if P is None else gp * P
         T = g
     return ThetaChain(T, P, S)
 
@@ -200,7 +201,7 @@ def theta_chain(theta, d: int) -> ThetaChain:
 
 def saddle_radius(d: int) -> float:
     """cos(g^(d)(pi)): the distance from the origin to the saddle -A z*."""
-    return math.cos(theta_chain(math.pi, int(d)).theta_d)
+    return math.cos(theta_chain(math.pi, d).theta_d)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,7 @@ def _check_z_star(z_star) -> tuple[np.ndarray, float]:
         raise ValueError("z_star must be a 1-D vector")
     # NaN/inf entries, and finite ones whose norm overflows, fail the test
     with np.errstate(over="ignore"):
-        s = float(np.linalg.norm(z))
+        s = float(np.sqrt(z.dot(z)))     # np.linalg.norm's arithmetic
     if not 0.0 < s < math.inf:
         raise ValueError("z_star must be a nonzero vector with a finite norm")
     return z, s
@@ -272,14 +273,15 @@ def ideal_loss(x, z_star, d: int):
 
 
 def _ambient_gradient(coef_r, coef_z, rhat, zhat, s, r):
-    """(coef_r rhat - coef_z zhat) / ||z*||, the zero vector where x = 0.
+    """(coef_r rhat - coef_z zhat) / ||z*||, the zero vector where x = 0
+    (r None: no radius is 0, so no row is masked).
 
     Every gradient here has this form: with thetahat = (cos(theta) rhat
     - zhat) / sin(theta), coef_z is the tangential coefficient over
     sin(theta) and coef_r the radial one plus coef_z cos(theta).
     """
     grad = (coef_r[..., None] * rhat - coef_z[..., None] * zhat) / s
-    return np.where((r > 0.0)[..., None], grad, 0.0)
+    return grad if r is None else np.where((r > 0.0)[..., None], grad, 0.0)
 
 
 def ideal_gradient(x, z_star, d: int):
@@ -371,20 +373,26 @@ def _smoothed_parts(r, theta, c: ThetaChain, params: ModifiedLossParams):
     angle chain c of theta (first order suffices).
 
     Lhat = L h1 + xi (1 - h2) with h1 = step(r0/3, 2 r0/3), h2 = step(0, r0).
-    Returns (h1, ratio_h, Lhat, Lhat_r, Lhat_rr): ratio_h = h1 times
-    the tangential ratio is the gradient's coef_z, and Lhat_rr uses the full
-    product rule L_rr h1 + 2 L_r h1_r + L h1_rr - xi h2_rr with L_rr = 1.
+    Returns (steps, L, L_r, ratio_h, Lhat, Lhat_r): ratio_h = h1 times the
+    tangential ratio is the gradient's coef_z, and steps is (h1, h1_r,
+    h1_rr, h2_rr), or None when every r is at or past r0.  Both steps are
+    flat there, and the products with their 1s and 0s are left out.
     """
-    r0 = params.r0
     cos_td = np.cos(c.theta_d)
     L = 0.5 * r * r - r * cos_td + 0.5
     L_r = r - cos_td
-    h1, h1_r, h1_rr = _step_parts(r0 / 3.0, 2.0 * r0 / 3.0, r)
-    h2, h2_r, h2_rr = _step_parts(0.0, r0, r)
-    val = L * h1 + params.xi * (1.0 - h2)
-    Lhat_r = L_r * h1 + L * h1_r - params.xi * h2_r
-    Lhat_rr = h1 + 2.0 * L_r * h1_r + L * h1_rr - params.xi * h2_rr
-    return h1, h1 * _tangential_ratio(theta, c), val, Lhat_r, Lhat_rr
+    ratio = _tangential_ratio(theta, c)
+    xi = params.xi
+    # false for a NaN radius; an infinite xi makes xi * 0 a NaN
+    if np.min(r, initial=math.inf) >= params.r0 and xi < math.inf:
+        # the bytes of the flat products: L * 1 + 0 is L, L * 0 is NaN on
+        # a row whose value overflows, and h1 * ratio makes one point's
+        # ratio a scalar (a NaN's sign bit depends on it)
+        return None, L, L_r, ratio[()], L, L_r + L * 0.0
+    h1, h1_r, h1_rr = _step_parts(params.r0 / 3.0, 2.0 * params.r0 / 3.0, r)
+    h2, h2_r, h2_rr = _step_parts(0.0, params.r0, r)
+    return ((h1, h1_r, h1_rr, h2_rr), L, L_r, h1 * ratio,
+            L * h1 + xi * (1.0 - h2), L_r * h1 + L * h1_r - xi * h2_r)
 
 
 def modified_loss(x, z_star, d: int, params: ModifiedLossParams):
@@ -396,10 +404,10 @@ def modified_loss(x, z_star, d: int, params: ModifiedLossParams):
     Only theta_d and theta_d' are read, so the angle orbit is first order.
     """
     _, s, r, theta, rhat, zhat = _polar_parts(x, z_star)
-    _, ratio_h, val, Lhat_r, _ = _smoothed_parts(
+    steps, _, _, ratio_h, val, Lhat_r = _smoothed_parts(
         r, theta, _orbit(theta, d, False), params)
     return val, _ambient_gradient(Lhat_r + ratio_h * np.cos(theta), ratio_h,
-                                  rhat, zhat, s, r)
+                                  rhat, zhat, s, None if steps is None else r)
 
 
 def potential(x, z_star, d: int, params: ModifiedLossParams):
@@ -416,7 +424,10 @@ def potential(x, z_star, d: int, params: ModifiedLossParams):
     lam = params.lam
 
     c = _orbit(theta, d, True)
-    h1, ratio_h, Lhat, Lhat_r, Lhat_rr = _smoothed_parts(r, theta, c, params)
+    steps, L, L_r, ratio_h, Lhat, Lhat_r = _smoothed_parts(r, theta, c, params)
+    h1, h1_r, h1_rr, h2_rr = (1.0, 0.0, 0.0, 0.0) if steps is None else steps
+    # the full product rule, with L_rr = 1
+    Lhat_rr = h1 + 2.0 * L_r * h1_r + L * h1_rr - params.xi * h2_rr
     h3, h3_r, h3_rr = _step_parts(params.r0, 1.5 * params.r0, r)
     ind = np.where(theta >= math.pi / 2.0, 1.0, 0.0)
     ct = np.cos(theta)

@@ -268,9 +268,17 @@ def posterior_sgld(problem: InverseProblem, prior: GaussianMixturePrior,
     z0 = np.concatenate([sample_prior(prior, 1, seed=np.random.default_rng(
         (s, 1)).integers(2**63)) for s in seeds])
     rngs = [np.random.default_rng(s) for s in seeds]
+
+    def noise():
+        # k steps per draw: one (k, p) draw is k draws of (p,), number for
+        # number; a block holds at most about 64k numbers
+        k = max(1, min(512, cfg.steps, 65536 // (chains * p)))
+        while True:
+            yield from np.stack([r.standard_normal((k, p)) for r in rngs], 1)
+
     return EnsembleRun(*_chain(
         potential, z0, cfg.eta, cfg.sigma_step, cfg.steps, cfg.record_every,
-        noise=lambda: np.stack([r.standard_normal(p) for r in rngs])))
+        noise=noise().__next__))
 
 
 def coupled_pair(potential_grad, z0_a, z0_b,

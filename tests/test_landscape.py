@@ -205,6 +205,20 @@ def test_saddle_radius_closed_form_at_depth_two():
 # loss, gradient, Hessian
 
 
+def test_a_fractional_depth_is_rejected_by_every_entry():
+    # saddle_radius truncated its depth: saddle_radius(2.7) was
+    # saddle_radius(2), and for_depth(2.5) gave depth 2's r0
+    x, zs = np.array([0.3, 0.4]), np.array([1.0, 0.0])
+    params = ls.ModifiedLossParams.for_depth(2)
+    for call in (lambda: ls.saddle_radius(2.7),
+                 lambda: ls.ModifiedLossParams.for_depth(2.5),
+                 lambda: ls.theta_chain(1.0, 2.5),
+                 lambda: ls.modified_loss(x, zs, 2.5, params)):
+        with pytest.raises(TypeError, match="depth must be an integer"):
+            call()
+    assert ls.saddle_radius(np.int64(3)) == ls.saddle_radius(3)
+
+
 def test_ideal_loss_at_landmarks():
     zs = np.array([2.0, 0.0, 0.0])            # non-unit scale
     assert ls.ideal_loss(zs, zs, 3) == pytest.approx(0.0, abs=1e-15)
@@ -413,6 +427,81 @@ def test_modified_loss_row_with_inf_is_non_finite():
     val_ok, grad_ok = ls.modified_loss(X[[0, 2]], zs, 2, params)
     assert np.allclose(val[[0, 2]], val_ok, rtol=1e-12, atol=0.0)
     assert np.allclose(grad[[0, 2]], grad_ok, rtol=1e-12, atol=0.0)
+
+
+def _flat_rows_match_the_general_path(flat, general, zs, d, params,
+                                      monkeypatch):
+    """modified_loss on flat (every radius at or past r0) runs no smoothing
+    step, and its rows equal, byte for byte, the rows of general (a batch
+    of the same size that the steps run on) wherever the inputs agree."""
+    def no_step(*args):
+        raise AssertionError("a smoothing step ran on a flat batch")
+
+    with monkeypatch.context() as m:
+        m.setattr(ls, "_step_parts", no_step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ls.modified_loss(flat, zs, d, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = ls.modified_loss(general, zs, d, params)
+    same = np.all(flat.view(np.int64) == general.view(np.int64), axis=1)
+    assert 0 < same.sum() < len(flat)
+    for a, b in zip(got, ref):
+        assert a[same].tobytes() == b[same].tobytes()
+    return got
+
+
+def _flat_batch(zs, params, rows=8):
+    """Rows at canonical radii in [1.2 r0, 3] and mid-range angles, with
+    theta = 0 and theta = pi in rows 1 and 2."""
+    rng = np.random.default_rng(SEED + 40)
+    s = np.linalg.norm(zs)
+    theta = rng.uniform(0.1, math.pi - 0.1, rows)
+    theta[1:3] = 0.0, math.pi
+    X = rng.uniform(1.2 * params.r0, 3.0, (rows, 1)) * s \
+        * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    X[1:3] = 2.0 * zs, -zs
+    return X
+
+
+def test_flat_path_at_the_knot(monkeypatch):
+    # the smallest canonical radius is exactly r0: both steps are flat
+    zs = np.array([1.0, 0.0])
+    params = ls.ModifiedLossParams.for_depth(2)
+    X = _flat_batch(zs, params)
+    X[0] = 0.0, params.r0
+    assert ls._polar_parts(X, zs)[2].min() == params.r0
+    general = X.copy()
+    general[-1] = 0.0                         # r = 0 < r0: the steps run
+    _flat_rows_match_the_general_path(X, general, zs, 2, params, monkeypatch)
+
+
+def test_flat_path_keeps_the_nan_gradient_of_an_overflowing_row(
+        monkeypatch):
+    # L overflows to +inf, and L * h1_r = inf * 0 makes the gradient NaN
+    zs = np.array([1e-10, 0.0])
+    params = ls.ModifiedLossParams.for_depth(3)
+    X = _flat_batch(zs, params)
+    X[0] = 1e150, 3e149
+    general = X.copy()
+    general[-1] = 0.0
+    val, grad = _flat_rows_match_the_general_path(X, general, zs, 3, params,
+                                                  monkeypatch)
+    assert val[0] == math.inf and np.all(np.isnan(grad[0]))
+    assert np.all(np.isfinite(val[1:])) and np.all(np.isfinite(grad[1:]))
+
+
+def test_flat_path_rows_match_a_batch_with_a_nan_row(monkeypatch):
+    # a NaN radius fails the flat test, so the NaN batch runs the steps
+    zs = np.array([0.6, -0.8])
+    params = ls.ModifiedLossParams.for_depth(2)
+    X = _flat_batch(zs, params)
+    general = X.copy()
+    general[0] = math.nan
+    _flat_rows_match_the_general_path(X, general, zs, 2, params, monkeypatch)
+    with np.errstate(invalid="ignore"):
+        val, grad = ls.modified_loss(general, zs, 2, params)
+    # r > 0 is false for a NaN radius, so the x = 0 mask zeroes the row
+    assert np.isnan(val[0]) and grad[0].tolist() == [0.0, 0.0]
 
 
 @settings(max_examples=80, deadline=None)

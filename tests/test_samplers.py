@@ -369,6 +369,97 @@ def test_posterior_sgld_chain_is_independent_of_chain_count(p, rows):
         assert one.losses[:, 0].tobytes() == run.losses[:, c].tobytes()
 
 
+def _with_per_step_noise(monkeypatch, problem, prior, cfg, chains):
+    """posterior_sgld's run, the same chains fed the per-step stacked draw
+    (one standard_normal(p) per chain per step) and the size of every
+    normal draw the run took."""
+    real_chain, real_rng = smp._chain, np.random.default_rng
+    seen, sizes = {}, []
+
+    def spy_chain(*args, **kwargs):
+        seen["args"] = args
+        return real_chain(*args, **kwargs)
+
+    class LoggedRng:
+        def __init__(self, seed):
+            self._rng = real_rng(seed)
+
+        def standard_normal(self, size):
+            sizes.append(int(np.prod(size)))
+            return self._rng.standard_normal(size)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    with monkeypatch.context() as m:
+        m.setattr(smp, "_chain", spy_chain)
+        m.setattr(np.random, "default_rng", LoggedRng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = smp.posterior_sgld(problem, prior, cfg, chains=chains)
+    rngs = [real_rng(cfg.seed + c) for c in range(chains)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = smp.EnsembleRun(*real_chain(*seen["args"], noise=lambda: np.stack(
+            [r.standard_normal(prior.dim) for r in rngs])))
+    for field in ("states", "losses", "step_indices", "aborted_at"):
+        assert getattr(run, field).tobytes() == getattr(ref, field).tobytes()
+    return run, sizes
+
+
+@pytest.mark.parametrize("chains", [1, 8])
+@pytest.mark.parametrize("record_every", [1, 10])
+@pytest.mark.parametrize("steps", [1, 7, 511, 512, 513, 1100])
+def test_posterior_block_noise_is_the_per_step_draw(monkeypatch, steps,
+                                                    record_every, chains):
+    # the noise is drawn per chain in blocks of min(512, steps) steps
+    p = 3
+    rng = np.random.default_rng(SEED + 40)
+    problem = gen.InverseProblem(
+        generator=None, map=gen.MeasurementMap(matrix=None, m=p),
+        y=rng.standard_normal(p), noise_sigma=0.6)
+    prior = priors.GaussianMixturePrior(
+        weights=np.array([0.4, 0.6]), means=rng.standard_normal((2, p)),
+        variances=np.array([0.5, 1.5]))
+    cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=steps, seed=SEED + 41,
+                             record_every=record_every)
+    run, sizes = _with_per_step_noise(monkeypatch, problem, prior, cfg,
+                                      chains)
+    assert max(sizes) == min(512, steps) * p
+    assert list(run.aborted_at) == [-1] * chains
+
+
+@pytest.mark.parametrize("steps", [512, 1100])
+def test_posterior_block_noise_where_chains_stop_apart(monkeypatch, steps):
+    # at eta = 1.5 the chains grow by 2x a step and overflow at steps
+    # 511-513, across the first block's end: at 512 steps some stop early
+    # and the others run to the end; at 1100 the run ends once all stop
+    p = 2
+    problem = gen.InverseProblem(
+        generator=None, map=gen.MeasurementMap(matrix=None, m=p),
+        y=np.zeros(p), noise_sigma=1.0)
+    prior = priors.GaussianMixturePrior.standard(p)
+    cfg = smp.LangevinConfig(eta=1.5, beta=1.0, steps=steps, seed=1,
+                             record_every=10)
+    run, _ = _with_per_step_noise(monkeypatch, problem, prior, cfg, 8)
+    stopped = run.aborted_at[run.aborted_at >= 0]
+    assert len(set(stopped.tolist())) > 1
+    assert (len(stopped) < 8) == (steps == 512)
+
+
+@pytest.mark.parametrize("p, chains", [(40, 8), (70_000, 1)],
+                         ids=["block-204", "block-1"])
+def test_posterior_block_noise_is_capped(monkeypatch, p, chains):
+    # a block holds at most 65536 numbers: 204 steps of 8 x 40, and one
+    # step where a single draw holds more
+    problem = gen.InverseProblem(
+        generator=None, map=gen.MeasurementMap(matrix=None, m=p),
+        y=np.full(p, 0.3), noise_sigma=1.0)
+    prior = priors.GaussianMixturePrior.standard(p)
+    cfg = smp.LangevinConfig(eta=0.01, beta=1.0, steps=600 if p < 100 else 3,
+                             seed=SEED + 42, record_every=7)
+    _, sizes = _with_per_step_noise(monkeypatch, problem, prior, cfg, chains)
+    assert max(sizes) == max(1, 65536 // (chains * p)) * p
+
+
 def test_posterior_sgld_rejects_observation_of_the_wrong_shape():
     # the tail's output must be the measurement map's input ...
     G = gen.build_generator([2, 12, 8], seed=SEED + 25)
